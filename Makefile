@@ -74,19 +74,26 @@ bench-regression:
 	$(GO) run ./cmd/benchjson < BENCH_shard.new.txt > BENCH_shard.new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_shard.json BENCH_shard.new.json -tolerance $(TOLERANCE)
 
-# Profiling fast-path equivalence gate: block-granular and fused-
-# superinstruction profiled runs must be bit-identical to the legacy
-# per-instruction engine (outputs, dynamic counts, traps, reconstructed
-# per-instruction vectors), at the interpreter, benchmark and full-pipeline
-# layers.
+# Profiling fast-path equivalence gate: profiled runs, block-counting
+# Profiler runs and faulted runs of the fused engine must be bit-identical
+# to the test-only reference interpreter (internal/interp/interptest) —
+# outputs, dynamic counts, traps, per-instruction vectors, injection sites —
+# at the interpreter, benchmark and full-pipeline layers. The gate fails if
+# the regex stops matching any test in either package (go test would
+# otherwise report "no tests to run" and pass).
 test-fusion:
-	$(GO) test -count=1 -run 'Fusion|BlockProfile|ProfileEquiv' \
-		./internal/interp ./internal/core
+	@re='Fusion|BlockProfile|ProfileEquiv'; \
+	for pkg in ./internal/interp ./internal/core; do \
+		$(GO) test -list "$$re" $$pkg | grep -q '^Test' || \
+			{ echo "test-fusion: no test in $$pkg matches $$re"; exit 1; }; \
+	done; \
+	$(GO) test -count=1 -run "$$re" ./internal/interp ./internal/core
 
-# Measure one GA candidate evaluation on the legacy per-instruction engine
-# vs the block-granular and fused fast paths, and render the
-# machine-readable BENCH_fitness.json artifact (per-benchmark ns/op,
-# dyn/op, allocs/op, and the perinstr/fused speedup with its geomean).
+# Measure one GA candidate evaluation as a per-instruction profiled run
+# plus count-vector fold (perinstr) vs the block-counting fused fast path,
+# and render the machine-readable BENCH_fitness.json artifact
+# (per-benchmark ns/op, dyn/op, allocs/op, and the perinstr/fused speedup
+# with its geomean).
 bench-fitness:
 	$(GO) test -run='^$$' -bench=BenchmarkFitnessProfile -benchtime=200x \
 		./internal/interp | tee BENCH_fitness.txt
@@ -150,15 +157,20 @@ test-service:
 # fixed-seed fuzz-vs-naive coverage parity acceptance test (the guided
 # fuzzer must reach the 0.95×max coverage target in fewer evaluations than
 # the naive widening-range fuzzer on >= 5 benchmarks), the fault-model
-# registry/corruption tests, and the determinism matrix (every model
+# registry/corruption tests, the determinism matrix (every model
 # bit-identical at workers 1/4 × batch 1/64 × shards 1/2; the default
-# single-flip path pinned byte-identical to the pre-interface behaviour).
+# single-flip path pinned byte-identical to the pre-interface behaviour),
+# and a bounded native-fuzzing run of the engine against the reference
+# interpreter on random verified modules (failing inputs land in
+# internal/interp/testdata/fuzz as regression fixtures).
 test-fuzz:
 	$(GO) test -count=1 ./internal/fuzz
 	$(GO) test -count=1 -run 'Fuzz' ./internal/core
 	$(GO) test -count=1 ./internal/fault
 	$(GO) test -count=1 -run 'FaultModelDeterminismMatrix|DefaultModelMatchesHistoricalPath' \
 		./internal/campaign
+	$(GO) test -count=1 -run '^$$' -fuzz '^FuzzEngineMatchesReference$$' -fuzztime 30s \
+		./internal/interp
 
 # Measure the deterministic shard critical path (dyncrit/op at 1 vs 2
 # shards) and the golden-cache setup elimination (cold vs warm setupdyn/op),

@@ -60,8 +60,8 @@ type Report struct {
 	BatchSpeedup map[string]float64 `json:"batch_speedup,omitempty"`
 	// FitnessSpeedup maps each program benchmark to perinstr ns/op ÷
 	// fused ns/op for BenchmarkFitnessProfile, plus a "geomean" entry —
-	// the speedup of the fused profiling fast path over the legacy
-	// per-instruction fitness evaluation. The geomean entry is null (with
+	// the speedup of the fused profiling fast path over a per-instruction
+	// profiled run plus count-vector fold. The geomean entry is null (with
 	// a warning on stderr) when no positive finite speedup exists to
 	// average — committing NaN or -Inf into a BENCH artifact would poison
 	// every downstream consumer of the file.

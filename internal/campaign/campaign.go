@@ -188,11 +188,7 @@ func NewGoldenCheckpointed(p *interp.Program, input []uint64, maxDyn, interval i
 		}
 		return g, nil
 	}
-	// Campaign snapshots are recorded on the fused engine so batched trials
-	// resume — and their shared trunks run — over the superinstruction code
-	// arrays; serial resumes pick the engine from the snapshot and stay
-	// bit-identical either way.
-	return newGolden(p, input, interp.Options{Profile: true, MaxDyn: maxDyn, CheckpointInterval: interval, Fused: true})
+	return newGolden(p, input, interp.Options{Profile: true, MaxDyn: maxDyn, CheckpointInterval: interval})
 }
 
 // EnsureCheckpoints attaches golden-prefix snapshots to an existing golden
@@ -208,10 +204,10 @@ func (g *Golden) EnsureCheckpoints(p *interp.Program, interval int64) error {
 	if interval == CheckpointAuto {
 		interval = interp.AutoCheckpointInterval(g.DynCount)
 	}
-	// The replay records fused-engine snapshots (see NewGoldenCheckpointed);
-	// since the original golden may have run unfused, the divergence check
-	// below doubles as a cross-engine differential test.
-	r := interp.Run(p, g.Input, interp.Options{Profile: true, CheckpointInterval: interval, Fused: true})
+	// The original golden may come from a block-counting Profiler run
+	// (GoldenFromProfile) rather than a profiled Run, so the divergence
+	// check below also compares those two execution paths on one input.
+	r := interp.Run(p, g.Input, interp.Options{Profile: true, CheckpointInterval: interval})
 	if r.Trap != nil || r.BudgetExceeded || r.DynCount != g.DynCount || !interp.OutputEqual(r.Output, g.Output) {
 		return fmt.Errorf("campaign: checkpoint replay diverged from the golden run")
 	}

@@ -4,16 +4,53 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/interp"
+	"repro/internal/interp/interptest"
 	"repro/internal/prog"
 	"repro/internal/xrand"
 )
+
+// referenceTally classifies OverallParallel's per-trial plans on the
+// reference interpreter (internal/interp/interptest) instead of the engine,
+// with the same hang budget and the same classification order as
+// classifyResult (no detector).
+func referenceTally(p *interp.Program, g *Golden, trials int, seed uint64, m fault.Model) Counts {
+	var c Counts
+	budget := g.DynCount*hangBudgetMultiplier + hangBudgetSlack
+	for i := 0; i < trials; i++ {
+		rng := trialRNG(seed, i)
+		plan := samplePlan(m, rng, g.DynCount)
+		r := interptest.Run(p.Mod, g.Input, interptest.Options{Plan: &plan, FaultRNG: rng, MaxDyn: budget})
+		c.DynInstrs += r.DynCount
+		sameOutput := len(r.Output) == len(g.Output)
+		for k := 0; sameOutput && k < len(r.Output); k++ {
+			sameOutput = r.Output[k].Ty == g.Output[k].Ty && r.Output[k].Bits == g.Output[k].Bits
+		}
+		switch {
+		case !r.Injected:
+			c.Add(Benign)
+		case r.DetectedFlag:
+			c.Add(Detected)
+		case r.Trap != "":
+			c.Add(Crash)
+		case r.BudgetExceeded:
+			c.Add(Hang)
+		case !sameOutput:
+			c.Add(SDC)
+		default:
+			c.Add(Benign)
+		}
+	}
+	return c
+}
 
 // TestFaultModelDeterminismMatrix is the pluggable-fault-model determinism
 // gate: for every registered model, the flat campaign tally must be
 // bit-identical across the full execution matrix — workers {1, 4} ×
 // batch size {1, 64} × shards {1, 2} — because each trial's plan and
 // injection randomness derive from (Seed, global trial index) alone,
-// regardless of which model samples the plan.
+// regardless of which model samples the plan — and equal to the tally of
+// the same plans classified on the reference interpreter.
 func TestFaultModelDeterminismMatrix(t *testing.T) {
 	trials := 160
 	if testing.Short() {
@@ -32,6 +69,9 @@ func TestFaultModelDeterminismMatrix(t *testing.T) {
 				ref := OverallParallel(b.Prog, g, trials, ParallelOptions{Workers: 1, Seed: seed, Model: m})
 				if ref.Trials != trials {
 					t.Fatalf("reference run completed %d/%d trials", ref.Trials, trials)
+				}
+				if want := referenceTally(b.Prog, g, trials, seed, m); ref != want {
+					t.Fatalf("engine tally %+v, reference interpreter %+v", ref, want)
 				}
 				for _, shards := range []int{1, 2} {
 					for _, workers := range []int{1, 4} {

@@ -183,7 +183,7 @@ func runBatchJobs(p *interp.Program, g *Golden, plans []fault.Plan, rngFor func(
 		for k, i := range job.idx {
 			bt[k] = interp.BatchTrial{Plan: plans[i], RNG: rngFor(i)}
 		}
-		st := interp.BatchRun(p, g.Input, job.snap, bt, interp.Options{MaxDyn: budget, Fused: true, Done: done}, func(k int, r *interp.Result) {
+		st := interp.BatchRun(p, g.Input, job.snap, bt, interp.Options{MaxDyn: budget, Done: done}, func(k int, r *interp.Result) {
 			o, _ := classifyResult(g, r, detector)
 			outs[job.idx[k]] = trialOutcome{o: o, dyn: r.DynCount, ok: true}
 		})

@@ -370,3 +370,46 @@ func TestSearchOnCustomProgram(t *testing.T) {
 		t.Fatalf("custom search result: %+v", res.Final)
 	}
 }
+
+// detectIR calls sdc_detect on a fault-free run whenever n > 5: inputs above
+// that threshold are invalid (§3.1.2), and the closing campaign's
+// NewGolden rejects them.
+const detectIR = `module detect
+entry main
+
+func @main(i64 %n) i64 {
+entry:
+  %v0 : i64 = mul(i64 %n, i64 3)
+  %v1 : i1 = icmp.sgt(i64 %n, i64 5)
+  condbr(i1 %v1) bad, done
+bad:
+  call @sdc_detect()
+  br done
+done:
+  call @print_i64(i64 %v0)
+  ret(i64 %v0)
+}
+`
+
+// TestFitnessDetectedRunScoresZero: a fault-free run that raises
+// sdc_detect is an invalid input, so its fitness must be 0 — otherwise the
+// GA can report an input whose closing campaign then refuses it.
+func TestFitnessDetectedRunScoresZero(t *testing.T) {
+	b, err := prog.LoadCustom(detectIR, "n:int:0:10:2", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scores := make([]float64, b.Prog.NumInstrs())
+	for i := range scores {
+		scores[i] = 1
+	}
+	if f, _ := Fitness(b, scores, []float64{2}); f <= 0 {
+		t.Fatalf("valid input fitness = %v, want > 0", f)
+	}
+	if _, err := campaign.NewGolden(b.Prog, b.Encode([]float64{8}), b.MaxDyn); err == nil {
+		t.Fatal("NewGolden accepted a run that raised sdc_detect")
+	}
+	if f, _ := Fitness(b, scores, []float64{8}); f != 0 {
+		t.Fatalf("sdc_detect input fitness = %v, want 0", f)
+	}
+}

@@ -24,19 +24,14 @@ const smallInputFuzzSeeds = 4
 // loses that edge. The evaluation budget equals the naive fuzzer's
 // (smallInputRounds × smallInputTriesPerRound), so Attempts are directly
 // comparable; on most benchmarks the guided search reaches the coverage
-// target in fewer attempts. Candidate runs reuse one pooled fast-path
-// Profiler; ProfileLegacy has no counter space and is mapped to
-// ProfileBlock.
-func FindSmallFIInputFuzz(b *prog.Benchmark, targetFrac float64, mode interp.ProfileMode, rng *xrand.RNG) (*SmallInputResult, error) {
+// target in fewer attempts. Candidate runs reuse one fast-path Profiler.
+func FindSmallFIInputFuzz(b *prog.Benchmark, targetFrac float64, rng *xrand.RNG) (*SmallInputResult, error) {
 	if targetFrac <= 0 {
 		targetFrac = DefaultCoverageTargetFrac
 	}
-	if mode == interp.ProfileLegacy {
-		mode = interp.ProfileBlock
-	}
 	start := time.Now()
 
-	prof := interp.NewProfilerMode(b.Prog, mode)
+	prof := interp.NewProfiler(b.Prog)
 	var args []uint64
 
 	args = b.EncodeInto(args[:0], b.RefInput())
@@ -68,7 +63,7 @@ func FindSmallFIInputFuzz(b *prog.Benchmark, targetFrac float64, mode interp.Pro
 		res.Attempts++
 		args = b.EncodeInto(args[:0], in)
 		r := prof.Run(args, b.MaxDyn)
-		if r.Failed() || r.DetectedFlag {
+		if r.Failed() {
 			return 0, nil, false // invalid input; §3.1.2 excludes it
 		}
 		res.DynSpent += r.DynCount

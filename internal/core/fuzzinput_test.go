@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/interp"
 	"repro/internal/prog"
 	"repro/internal/xrand"
 )
@@ -40,11 +39,11 @@ func TestFuzzBeatsNaiveCoverageParity(t *testing.T) {
 	wins := 0
 	for _, c := range fuzzPanel {
 		b := prog.Build(c.bench)
-		n, err := FindSmallFIInputMode(b, c.frac, interp.ProfileFused, xrand.New(seed))
+		n, err := FindSmallFIInput(b, c.frac, xrand.New(seed))
 		if err != nil {
 			t.Fatalf("naive %s: %v", c.bench, err)
 		}
-		f, err := FindSmallFIInputFuzz(b, c.frac, interp.ProfileFused, xrand.New(seed))
+		f, err := FindSmallFIInputFuzz(b, c.frac, xrand.New(seed))
 		if err != nil {
 			t.Fatalf("fuzz %s: %v", c.bench, err)
 		}
@@ -72,11 +71,11 @@ func TestFuzzBeatsNaiveCoverageParity(t *testing.T) {
 func TestFuzzInputDeterministic(t *testing.T) {
 	b := prog.Build("stencil")
 	frac := 0.95 * 1.0000 / 0.7759
-	a, err := FindSmallFIInputFuzz(b, frac, interp.ProfileFused, xrand.New(9))
+	a, err := FindSmallFIInputFuzz(b, frac, xrand.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := FindSmallFIInputFuzz(b, frac, interp.ProfileFused, xrand.New(9))
+	c, err := FindSmallFIInputFuzz(b, frac, xrand.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,18 +86,5 @@ func TestFuzzInputDeterministic(t *testing.T) {
 		if a.Input[i] != c.Input[i] {
 			t.Fatalf("same seed diverged at input[%d]: %v vs %v", i, a.Input, c.Input)
 		}
-	}
-}
-
-// TestFuzzInputLegacyModeMapped verifies ProfileLegacy (no counter space) is
-// transparently upgraded to a counter-bearing mode instead of failing.
-func TestFuzzInputLegacyModeMapped(t *testing.T) {
-	b := prog.Build("pathfinder")
-	res, err := FindSmallFIInputFuzz(b, 0, interp.ProfileLegacy, xrand.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Golden == nil || res.Coverage <= 0 {
-		t.Fatalf("legacy-mode fuzz returned no golden run: %+v", res)
 	}
 }

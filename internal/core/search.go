@@ -64,13 +64,6 @@ type Options struct {
 	// bit-identical for every batch size and worker count. 0 keeps the
 	// serial shared-stream campaign.
 	BatchSize int
-	// ProfileMode selects the interpreter engine for candidate profiling
-	// (GA fitness and the small-input fuzzer's coverage checks). The zero
-	// value is interp.ProfileFused — block-granular counting over the fused
-	// superinstruction array; interp.ProfileBlock produces bit-identical
-	// results over the unfused array, and interp.ProfileLegacy keeps the
-	// pre-fast-path per-instruction engine for differential runs.
-	ProfileMode interp.ProfileMode
 	// CheckpointInterval controls golden-prefix snapshotting for the
 	// pipeline's FI campaigns (sensitivity, Figure 5 checkpoints, final):
 	// campaign.CheckpointAuto (0) tunes the spacing from each golden's
@@ -293,7 +286,7 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 	// Step ①: small FI input.
 	t0 := time.Now()
 	endPhase := tr.Phase("small_input")
-	small, err := FindSmallFIInputMode(b, opts.CoverageTargetFrac, opts.ProfileMode, rng)
+	small, err := FindSmallFIInput(b, opts.CoverageTargetFrac, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -366,7 +359,7 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 	// accumulator is atomic and integer, so its per-generation totals are
 	// independent of evaluation order.
 	var searchDyn atomic.Int64
-	fe := NewFitnessEvalMode(b, dist.Scores, opts.ProfileMode)
+	fe := NewFitnessEval(b, dist.Scores)
 	fitness := func(g ga.Genome) float64 {
 		f, dyn := fe.Eval(g)
 		searchDyn.Add(dyn)
@@ -543,8 +536,8 @@ func overallCampaign(p *interp.Program, g *campaign.Golden, trials int, rng *xra
 // run fails score 0 (§3.1.2 excludes error-raising inputs). It returns the
 // fitness and the dynamic instructions spent.
 //
-// This is the one-shot convenience form; it runs on the fused profiling
-// fast path. Loops evaluating many candidates should build a FitnessEval
+// This is the one-shot convenience form; it runs on the profiling fast
+// path. Loops evaluating many candidates should build a FitnessEval
 // once and call Eval, which reuses the profiling context.
 func Fitness(b *prog.Benchmark, scores []float64, input []float64) (float64, int64) {
 	return NewFitnessEval(b, scores).Eval(input)

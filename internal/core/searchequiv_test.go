@@ -1,10 +1,11 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
-	"repro/internal/interp"
+	"repro/internal/interp/interptest"
 	"repro/internal/prog"
 	"repro/internal/xrand"
 )
@@ -12,9 +13,10 @@ import (
 // TestSearchProfileEquiv is the pipeline-level half of the fast-path
 // equivalence gate: the full PEPPA-X search must produce bit-identical
 // results — best input and fitness, fitness/cost histories, evaluation
-// counts, and the closing FI campaign — whether candidates are profiled on
-// the fused superinstruction array or the plain block-counting array, and
-// for serial and parallel candidate evaluation alike.
+// counts, and the closing FI campaign — for serial and parallel candidate
+// evaluation alike, and the reported best fitness must match the §4.2.5
+// fitness recomputed from the reference interpreter's per-instruction
+// counts of the best input.
 func TestSearchProfileEquiv(t *testing.T) {
 	names := prog.Names()
 	if testing.Short() {
@@ -31,25 +33,35 @@ func TestSearchProfileEquiv(t *testing.T) {
 			opts.Checkpoints = []int{2}
 
 			var want *Result
-			for _, mode := range []interp.ProfileMode{interp.ProfileFused, interp.ProfileBlock} {
-				for _, w := range []int{1, 4} {
-					opts.ProfileMode = mode
-					opts.Workers = w
-					r, err := Search(b, opts, xrand.New(2026))
-					if err != nil {
-						t.Fatalf("%v workers=%d: %v", mode, w, err)
-					}
-					normalizeResult(r)
-					if want == nil {
-						want = r
-						continue
-					}
-					if !reflect.DeepEqual(r, want) {
-						t.Errorf("%v workers=%d diverged from fused workers=1:\n got best %v fitness %v SDC %v evals %d\nwant best %v fitness %v SDC %v evals %d",
-							mode, w, r.BestInput, r.BestFitness, r.SDCBound(), r.Evaluations,
-							want.BestInput, want.BestFitness, want.SDCBound(), want.Evaluations)
-					}
+			for _, w := range []int{1, 4} {
+				opts.Workers = w
+				r, err := Search(b, opts, xrand.New(2026))
+				if err != nil {
+					t.Fatalf("workers=%d: %v", w, err)
 				}
+				normalizeResult(r)
+				if want == nil {
+					want = r
+					continue
+				}
+				if !reflect.DeepEqual(r, want) {
+					t.Errorf("workers=%d diverged from workers=1:\n got best %v fitness %v SDC %v evals %d\nwant best %v fitness %v SDC %v evals %d",
+						w, r.BestInput, r.BestFitness, r.SDCBound(), r.Evaluations,
+						want.BestInput, want.BestFitness, want.SDCBound(), want.Evaluations)
+				}
+			}
+
+			ref := interptest.Run(b.Prog.Mod, b.Encode(want.BestInput), interptest.Options{MaxDyn: b.MaxDyn})
+			if ref.Trap != "" || ref.BudgetExceeded || ref.DetectedFlag || ref.DynCount == 0 {
+				t.Fatalf("best input %v fails on the reference interpreter: %+v", want.BestInput, ref)
+			}
+			var acc float64
+			for id, c := range ref.Counts {
+				acc += want.Distribution.Scores[id] * float64(c)
+			}
+			refFit := acc / float64(ref.DynCount)
+			if diff := math.Abs(want.BestFitness - refFit); diff > 1e-9*math.Max(1, math.Abs(refFit)) {
+				t.Errorf("best fitness %v, reference fitness %v", want.BestFitness, refFit)
 			}
 		})
 	}

@@ -48,22 +48,16 @@ type SmallInputResult struct {
 // the full ranges round by round; the first candidate reaching
 // targetFrac × reference coverage wins. If no candidate qualifies, the
 // highest-coverage candidate seen is returned (and its Coverage field will
-// be below TargetCoverage).
+// be below TargetCoverage). Candidate runs go through one reused Profiler
+// (no per-candidate machine allocation); a full Golden is only materialized
+// for the reference input and when a candidate improves on the best seen.
 func FindSmallFIInput(b *prog.Benchmark, targetFrac float64, rng *xrand.RNG) (*SmallInputResult, error) {
-	return FindSmallFIInputMode(b, targetFrac, interp.ProfileFused, rng)
-}
-
-// FindSmallFIInputMode is FindSmallFIInput with an explicit profiling
-// engine. Candidate runs go through one reused Profiler (no per-candidate
-// machine allocation); a full Golden is only materialized for the reference
-// input and when a candidate improves on the best seen.
-func FindSmallFIInputMode(b *prog.Benchmark, targetFrac float64, mode interp.ProfileMode, rng *xrand.RNG) (*SmallInputResult, error) {
 	if targetFrac <= 0 {
 		targetFrac = DefaultCoverageTargetFrac
 	}
 	start := time.Now()
 
-	prof := interp.NewProfilerMode(b.Prog, mode)
+	prof := interp.NewProfiler(b.Prog)
 	var args []uint64
 
 	args = b.EncodeInto(args[:0], b.RefInput())
@@ -90,7 +84,7 @@ func FindSmallFIInputMode(b *prog.Benchmark, targetFrac float64, mode interp.Pro
 			res.Attempts++
 			args = b.EncodeInto(args[:0], in)
 			r := prof.Run(args, b.MaxDyn)
-			if r.Failed() || r.DetectedFlag {
+			if r.Failed() {
 				continue // invalid input; §3.1.2 excludes it
 			}
 			res.DynSpent += r.DynCount

@@ -12,10 +12,9 @@ import (
 // Lockstep batch execution. A fault-injection campaign resumes many trials
 // from the same golden checkpoint and replays the same fault-free stretch
 // up to each injection point; BatchRun pays that stretch once. A single
-// profiled trunk runs forward from the shared base snapshot on the engine
-// the snapshot belongs to (campaign goldens record fused checkpoints) and
-// captures a copy-on-write fork — pages shared with the previous fork via
-// the dirty map, exactly like interval checkpoints — at an instruction
+// profiled trunk runs forward from the shared base snapshot and captures a
+// copy-on-write fork — pages shared with the previous fork via the dirty
+// map, exactly like interval checkpoints — at an instruction
 // boundary strictly before each trial's injection point. Every trial then
 // restores its fork, runs the generic engine only across the short
 // fork-to-injection window (so injections keep their exact per-dynamic-
@@ -107,10 +106,9 @@ func batchCanceled(done <-chan struct{}) bool {
 // snapshot (nil to share the program entry) in lockstep, calling report
 // once per trial index, in index order, with a Result that is only valid
 // during the call — its Output buffer is reused by the next trial. opts
-// supplies the per-trial limits (MaxDyn, MaxMemWords, MaxDepth) and the
-// engine for base-less batches (Fused); Plan, FaultRNG, Profile,
-// TrackPropagation and CheckpointInterval must be unset — trials carry
-// their own plans and streams. Static-mode trials require a profiled base
+// supplies the per-trial limits (MaxDyn, MaxMemWords, MaxDepth); Plan,
+// FaultRNG, Profile, TrackPropagation and CheckpointInterval must be unset
+// — trials carry their own plans and streams. Static-mode trials require a profiled base
 // (or a base-less batch), like RunFrom.
 //
 // When opts.Done closes mid-batch the trunk suspends at its next boundary
@@ -146,7 +144,7 @@ func BatchRun(p *Program, args []uint64, base *Snapshot, trials []BatchTrial, op
 
 	te := newExec(p, Options{
 		MaxDyn: opts.MaxDyn, MaxMemWords: opts.MaxMemWords, MaxDepth: opts.MaxDepth,
-		Profile: trunkProfile, Fused: opts.Fused,
+		Profile: trunkProfile,
 	})
 	startDyn := int64(0)
 	if base != nil {
@@ -298,7 +296,7 @@ func runForked(e *exec, f *Snapshot, t *BatchTrial) *Result {
 	if !ok && e.paused {
 		e.paused = false
 		e.nextCkpt = math.MaxInt64
-		ret, _ = e.runFast(e.fusedExec)
+		ret, _ = e.runFast()
 	}
 	return e.finish(ret)
 }

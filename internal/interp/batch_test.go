@@ -5,15 +5,16 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/interp/interptest"
 	"repro/internal/xrand"
 )
 
-// batchGolden runs the program with fused profiling checkpoints at the
-// given interval and returns the result (whose Checkpoints carry fused
+// batchGolden runs the program with profiling checkpoints at the given
+// interval and returns the result (whose Checkpoints carry profiled
 // snapshots, like campaign goldens).
 func batchGolden(t *testing.T, p *Program, args []uint64, interval int64) *Result {
 	t.Helper()
-	r := Run(p, args, Options{Profile: true, CheckpointInterval: interval, Fused: true})
+	r := Run(p, args, Options{Profile: true, CheckpointInterval: interval})
 	if r.Trap != nil {
 		t.Fatalf("golden trapped: %v", r.Trap)
 	}
@@ -96,10 +97,10 @@ func TestBatchSameDynIndexTrials(t *testing.T) {
 	}
 }
 
-// TestBatchInjectEveryDynIndex sweeps every dynamic instruction of a fused
+// TestBatchInjectEveryDynIndex sweeps every dynamic instruction of a
 // program — including targets that land on the second sub-instruction of a
-// fused pair — and checks each batched trial against the serial unfused
-// run. This is the exactness gate for mid-fused-pair injections.
+// fused pair — and checks each batched trial against the reference
+// interpreter. This is the exactness gate for mid-fused-pair injections.
 func TestBatchInjectEveryDynIndex(t *testing.T) {
 	for name, build := range map[string]func(testing.TB) *Program{
 		"sumloop": buildSumLoop, "memory": buildMemory, "factorial": buildFactorial,
@@ -111,19 +112,18 @@ func TestBatchInjectEveryDynIndex(t *testing.T) {
 			base := g.Checkpoints.snaps[0]
 			budget := trialBudget(g)
 			var trials []BatchTrial
-			var wants []*Result
+			var wants []*interptest.Result
 			for d := base.dyn + 1; d <= g.DynCount; d++ {
 				// Bit 0 is valid for every result width (cmps are i1).
 				plan := fault.Plan{Mode: fault.ModeDynamic, TargetDyn: d, Bit: 0}
-				// Serial reference on the UNFUSED engine from scratch:
-				// batched trials must agree across both engine and resume
-				// path.
-				wants = append(wants, Run(p, args, Options{Plan: &plan, MaxDyn: budget}))
+				// Reference interpreter from scratch: batched trials must
+				// agree across both the fused code and the resume path.
+				wants = append(wants, refRun(p, args, Options{Plan: &plan, MaxDyn: budget}))
 				trials = append(trials, BatchTrial{Plan: plan})
 			}
 			idx := 0
 			BatchRun(p, args, base, trials, Options{MaxDyn: budget}, func(i int, r *Result) {
-				sameResult(t, "sweep", wants[i], r)
+				checkRef(t, "sweep", r, wants[i])
 				idx++
 			})
 			if idx != len(trials) {
@@ -135,7 +135,7 @@ func TestBatchInjectEveryDynIndex(t *testing.T) {
 
 // TestBatchStaticOccurrenceSweep does the same exhaustive sweep for
 // static-mode plans: every executed occurrence of every static instruction,
-// resumed from a profiled fused snapshot.
+// resumed from a profiled snapshot and checked against the reference.
 func TestBatchStaticOccurrenceSweep(t *testing.T) {
 	p := buildSumLoop(t)
 	args := []uint64{24}
@@ -143,16 +143,16 @@ func TestBatchStaticOccurrenceSweep(t *testing.T) {
 	base := g.Checkpoints.snaps[1]
 	budget := trialBudget(g)
 	var trials []BatchTrial
-	var wants []*Result
+	var wants []*interptest.Result
 	for id, n := range g.InstrCounts {
 		for occ := base.counts[id] + 1; occ <= n; occ++ {
 			plan := fault.Plan{Mode: fault.ModeStatic, StaticID: id, Occurrence: occ, Bit: 0}
-			wants = append(wants, Run(p, args, Options{Plan: &plan, MaxDyn: budget}))
+			wants = append(wants, refRun(p, args, Options{Plan: &plan, MaxDyn: budget}))
 			trials = append(trials, BatchTrial{Plan: plan})
 		}
 	}
 	st := BatchRun(p, args, base, trials, Options{MaxDyn: budget}, func(i int, r *Result) {
-		sameResult(t, "static-sweep", wants[i], r)
+		checkRef(t, "static-sweep", r, wants[i])
 	})
 	if st.Forked != len(trials) {
 		t.Fatalf("expected every static trial forked: %+v", st)

@@ -55,10 +55,6 @@ type Snapshot struct {
 	output   []OutVal
 	counts   []int64 // per-static-instruction execution counts (profiled runs)
 	detected bool
-	// fused records which code array the frame pcs index — restoring the
-	// snapshot resumes on that engine (the two arrays use different pc
-	// coordinate spaces, but produce bit-identical results).
-	fused bool
 }
 
 // Dyn returns the dynamic instruction count at which the snapshot was taken.
@@ -230,7 +226,6 @@ func (e *exec) captureSnapshot(prev *Snapshot) *Snapshot {
 		slabTop:  e.slabTop,
 		output:   append([]OutVal(nil), e.output...),
 		detected: e.detected,
-		fused:    e.fusedExec,
 	}
 	if e.counts != nil {
 		s.counts = append([]int64(nil), e.counts...)
@@ -239,9 +234,8 @@ func (e *exec) captureSnapshot(prev *Snapshot) *Snapshot {
 }
 
 // restoreInto rebuilds the snapshot's machine state inside a fresh (or
-// batch-reset) exec, including the engine selection its pcs belong to.
+// batch-reset) exec.
 func (s *Snapshot) restoreInto(e *exec) {
-	e.fusedExec = s.fused
 	e.dyn = s.dyn
 	e.memTop = s.memTop
 	if covered := int64(len(s.pages)) * pageWords; int64(len(e.mem)) < covered {

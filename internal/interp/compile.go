@@ -10,7 +10,9 @@
 // value-producing instruction gets a frame slot, operands become slot or
 // constant-pool references, blocks flatten into a single code array with
 // branch targets as code indices, and SSA phis lower to parallel copies
-// attached to control-flow edges.
+// attached to control-flow edges. Hot adjacent instruction pairs are then
+// fused into superinstructions (fuse.go); every entry point executes that
+// one fused code array.
 package interp
 
 import (
@@ -60,7 +62,7 @@ type inst struct {
 	callee int32
 	args   []ref
 
-	// Superinstruction data (profiling fast path). A fused inst carries two
+	// Superinstruction data (see fuse.go). A fused inst carries two
 	// adjacent source instructions: op is the fused opcode (opFused*), op1
 	// and op2 the original sub-opcodes, and ty2/dst2/id2/a2/b2 the second
 	// sub-instruction's fields (the first keeps ty/dst/id/a/b). dst2/id2 are
@@ -90,21 +92,11 @@ type compiledFunc struct {
 
 	// Block table (profiling fast path). Blocks are numbered in layout
 	// order; block counter b of this function lives at global counter index
-	// blockBase+b. blockStart/blockOf describe the unfused code array,
-	// fusedStart/fusedOf the fused one.
+	// blockBase+b.
 	blockBase  int32
 	numBlocks  int32
 	blockStart []int32 // phi-skipped start pc of each block
 	blockOf    []int32 // pc -> local block index
-
-	// fused is the superinstruction code array used by profile-mode runs:
-	// identical control flow, with hot adjacent pairs combined into opFused*
-	// slots. Jump targets are remapped into fused pcs; observable semantics
-	// (outputs, traps, dynamic counts, per-instruction counts) are
-	// bit-identical to code.
-	fused      []inst
-	fusedStart []int32
-	fusedOf    []int32
 }
 
 // intrinsic IDs, fixed order for the dispatch table in exec.go.
@@ -158,7 +150,7 @@ type Program struct {
 	blockInstrs []int32
 
 	// maxSlotDyn bounds how far the dyn clock can advance inside a single
-	// dispatch slot of either code array (fused pairs, phi move lists).
+	// dispatch slot (fused pairs, phi move lists).
 	// Boundary checks in run() happen between slots, so the batch executor
 	// subtracts this bound when arming a stop point that must be reached
 	// strictly before a given dyn value (see batch.go).
@@ -186,8 +178,7 @@ func (p *Program) CounterLen() int { return p.numBlocks + p.numEdges }
 //
 // so the fitness numerator needs no per-instruction loop and no
 // InstrCounts materialization. The counter-order summation is the
-// canonical fitness association for both fused and unfused fast-path runs,
-// keeping fitness values bit-identical between the two.
+// canonical fitness association of the fast path.
 func (p *Program) CounterScores(scores []float64) []float64 {
 	if len(scores) != p.numInstrs {
 		panic(fmt.Sprintf("interp: CounterScores got %d scores for %d instructions", len(scores), p.numInstrs))
@@ -236,8 +227,8 @@ func Compile(m *ir.Module) (*Program, error) {
 	p.maxSlotDyn = 1
 	for _, cf := range p.funcs {
 		fuseFunc(cf)
-		for i := range cf.fused {
-			if d := slotDynBound(&cf.fused[i]); d > p.maxSlotDyn {
+		for i := range cf.code {
+			if d := slotDynBound(&cf.code[i]); d > p.maxSlotDyn {
 				p.maxSlotDyn = d
 			}
 		}
@@ -271,7 +262,9 @@ func slotDynBound(in *inst) int64 {
 
 // buildProfileTables numbers blocks and phi-carrying edges into one global
 // counter space and precomputes the id -> counter mappings the fast path's
-// InstrCounts reconstruction and CounterScores use.
+// InstrCounts reconstruction and CounterScores use. It runs before
+// fuseFunc, one instruction per pc, and fusion carries the branch counters
+// over.
 func (p *Program) buildProfileTables() {
 	next := int32(0)
 	for _, cf := range p.funcs {

@@ -100,14 +100,6 @@ type Options struct {
 	// CheckpointInterval with a fault Plan panics: snapshots must capture
 	// fault-free state.
 	CheckpointInterval int64
-	// Fused executes the superinstruction code arrays instead of the
-	// unfused ones. The generic engine dispatches each fused slot
-	// sub-instruction by sub-instruction — the dyn clock, injection points
-	// (including mid-pair targets), traps, budget ordering and taint
-	// propagation are bit-identical to the unfused array; only dispatch
-	// count changes. Snapshots recorded by a fused run carry fused pcs and
-	// resume on the fused engine automatically.
-	Fused bool
 	// Done, when non-nil, is a cooperative cancellation signal (a
 	// context.Context's Done channel). BatchRun polls it at checkpoint
 	// boundaries: once closed, the shared trunk suspends at its next
@@ -267,11 +259,6 @@ type exec struct {
 	blockCounts []int64
 	overlay     []int32
 
-	// fusedExec selects the fused superinstruction code arrays in run().
-	// Restoring a Snapshot overwrites it with the engine the snapshot's pcs
-	// belong to.
-	fusedExec bool
-
 	// Golden-prefix checkpointing (nil / maxInt unless the run was started
 	// with Options.CheckpointInterval). dirty tracks written memory pages so
 	// snapshots can share unchanged pages with their predecessor.
@@ -297,18 +284,17 @@ type exec struct {
 
 func newExec(p *Program, opts Options) *exec {
 	e := &exec{
-		p:         p,
-		mem:       make([]uint64, 4096),
-		memTop:    1, // word 0 is the null page
-		maxMem:    int64(opts.MaxMemWords),
-		maxDep:    opts.MaxDepth,
-		maxDyn:    opts.MaxDyn,
-		plan:      opts.Plan,
-		rng:       opts.FaultRNG,
-		frames:    make([]frame, 0, 8),
-		regSlab:   make([]uint64, initialSlabSlots),
-		nextCkpt:  math.MaxInt64,
-		fusedExec: opts.Fused,
+		p:        p,
+		mem:      make([]uint64, 4096),
+		memTop:   1, // word 0 is the null page
+		maxMem:   int64(opts.MaxMemWords),
+		maxDep:   opts.MaxDepth,
+		maxDyn:   opts.MaxDyn,
+		plan:     opts.Plan,
+		rng:      opts.FaultRNG,
+		frames:   make([]frame, 0, 8),
+		regSlab:  make([]uint64, initialSlabSlots),
+		nextCkpt: math.MaxInt64,
 	}
 	if e.maxMem <= 0 {
 		e.maxMem = defaultMaxMemWords
@@ -597,11 +583,7 @@ func (e *exec) run() (uint64, bool) {
 			taint = e.taintSlab[fr.regOff : fr.regOff+fr.nSlots]
 		}
 		consts = cf.consts
-		if e.fusedExec {
-			code = cf.fused
-		} else {
-			code = cf.code
-		}
+		code = cf.code
 		pc = fr.pc
 	}
 	reenter()
@@ -686,11 +668,11 @@ func (e *exec) run() (uint64, bool) {
 			pc++
 			continue
 
-		// Fused superinstructions (fusedExec runs only). Each handler
-		// replays its pair sub-instruction by sub-instruction — result()
-		// per value, taint per operand set, traps and dirty marks in
-		// source order — so injections landing on either half (including
-		// mid-pair dynamic targets) behave exactly as on the unfused array.
+		// Fused superinstructions. Each handler replays its pair
+		// sub-instruction by sub-instruction — result() per value, taint
+		// per operand set, traps and dirty marks in source order — so
+		// injections landing on either half (including mid-pair dynamic
+		// targets) behave exactly as on the unfused instruction sequence.
 		case opFusedCmpBr:
 			var tIn bool
 			if track {
@@ -932,59 +914,12 @@ func (e *exec) run() (uint64, bool) {
 			} else {
 				v = ir.CanonInt(in.ty, uint64(x%y))
 			}
-		case ir.OpShl:
-			sh := get(regs, consts, in.b) & uint64(in.ty.Bits()-1)
-			v = ir.CanonInt(in.ty, get(regs, consts, in.a)<<sh)
-		case ir.OpLShr:
-			sh := get(regs, consts, in.b) & uint64(in.ty.Bits()-1)
-			v = get(regs, consts, in.a) >> sh // operands canonical: high bits clear
-		case ir.OpAShr:
-			sh := get(regs, consts, in.b) & uint64(in.ty.Bits()-1)
-			v = ir.CanonInt(in.ty, uint64(ir.SignedValue(in.ty, get(regs, consts, in.a))>>sh))
-		case ir.OpAnd:
-			v = get(regs, consts, in.a) & get(regs, consts, in.b)
-		case ir.OpOr:
-			v = get(regs, consts, in.a) | get(regs, consts, in.b)
-		case ir.OpXor:
-			v = get(regs, consts, in.a) ^ get(regs, consts, in.b)
-		case ir.OpFAdd:
-			v = math.Float64bits(math.Float64frombits(get(regs, consts, in.a)) + math.Float64frombits(get(regs, consts, in.b)))
-		case ir.OpFSub:
-			v = math.Float64bits(math.Float64frombits(get(regs, consts, in.a)) - math.Float64frombits(get(regs, consts, in.b)))
-		case ir.OpFMul:
-			v = math.Float64bits(math.Float64frombits(get(regs, consts, in.a)) * math.Float64frombits(get(regs, consts, in.b)))
-		case ir.OpFDiv:
-			v = math.Float64bits(math.Float64frombits(get(regs, consts, in.a)) / math.Float64frombits(get(regs, consts, in.b)))
-		case ir.OpICmpEQ:
-			v = b2u(get(regs, consts, in.a) == get(regs, consts, in.b))
-		case ir.OpICmpNE:
-			v = b2u(get(regs, consts, in.a) != get(regs, consts, in.b))
-		case ir.OpICmpSLT:
-			v = b2u(icmpOperands(in, regs, consts, func(x, y int64) bool { return x < y }))
-		case ir.OpICmpSLE:
-			v = b2u(icmpOperands(in, regs, consts, func(x, y int64) bool { return x <= y }))
-		case ir.OpICmpSGT:
-			v = b2u(icmpOperands(in, regs, consts, func(x, y int64) bool { return x > y }))
-		case ir.OpICmpSGE:
-			v = b2u(icmpOperands(in, regs, consts, func(x, y int64) bool { return x >= y }))
-		case ir.OpFCmpOEQ:
-			x, y := fops(in, regs, consts)
-			v = b2u(x == y)
-		case ir.OpFCmpONE:
-			x, y := fops(in, regs, consts)
-			v = b2u(x < y || x > y)
-		case ir.OpFCmpOLT:
-			x, y := fops(in, regs, consts)
-			v = b2u(x < y)
-		case ir.OpFCmpOLE:
-			x, y := fops(in, regs, consts)
-			v = b2u(x <= y)
-		case ir.OpFCmpOGT:
-			x, y := fops(in, regs, consts)
-			v = b2u(x > y)
-		case ir.OpFCmpOGE:
-			x, y := fops(in, regs, consts)
-			v = b2u(x >= y)
+		case ir.OpShl, ir.OpLShr, ir.OpAShr, ir.OpAnd, ir.OpOr, ir.OpXor,
+			ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv, ir.OpGEP:
+			v = evalFusedArith(in.op, in.ty, get(regs, consts, in.a), get(regs, consts, in.b))
+		case ir.OpICmpEQ, ir.OpICmpNE, ir.OpICmpSLT, ir.OpICmpSLE, ir.OpICmpSGT, ir.OpICmpSGE,
+			ir.OpFCmpOEQ, ir.OpFCmpONE, ir.OpFCmpOLT, ir.OpFCmpOLE, ir.OpFCmpOGT, ir.OpFCmpOGE:
+			v = evalCmp(in.op, in.srcTy, get(regs, consts, in.a), get(regs, consts, in.b))
 		case ir.OpTrunc, ir.OpZExt:
 			v = ir.CanonInt(in.ty, get(regs, consts, in.a))
 		case ir.OpSExt:
@@ -1052,8 +987,6 @@ func (e *exec) run() (uint64, bool) {
 			}
 			pc++
 			continue
-		case ir.OpGEP:
-			v = get(regs, consts, in.a) + get(regs, consts, in.b)
 		case ir.OpCall:
 			if in.callee >= 0 {
 				// User call: suspend this frame and push the callee; its
@@ -1117,15 +1050,6 @@ func b2u(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-func icmpOperands(in *inst, regs, consts []uint64, cmp func(x, y int64) bool) bool {
-	ty := in.srcTy
-	return cmp(ir.SignedValue(ty, get(regs, consts, in.a)), ir.SignedValue(ty, get(regs, consts, in.b)))
-}
-
-func fops(in *inst, regs, consts []uint64) (float64, float64) {
-	return math.Float64frombits(get(regs, consts, in.a)), math.Float64frombits(get(regs, consts, in.b))
 }
 
 // QuantizeOutput rounds a float to six significant decimal digits — the

@@ -2,8 +2,8 @@ package interp
 
 import "repro/internal/ir"
 
-// Superinstruction fusion (profiling fast path). The fused code array
-// combines hot adjacent instruction pairs into single dispatch slots, in the
+// Superinstruction fusion. The compiled code array combines hot adjacent
+// instruction pairs into single dispatch slots, in the
 // style of threaded-code superinstructions (Ertl & Gregg): a comparison
 // feeding the block's conditional branch, a load feeding arithmetic,
 // arithmetic feeding a load/store address or another arithmetic op. Fusion
@@ -11,10 +11,11 @@ import "repro/internal/ir"
 // fused slot can never be entered mid-pair), and each fused handler
 // replicates the sequential semantics sub-instruction by sub-instruction —
 // including the dynamic-instruction clock, the budget check ordering and
-// the trap points — so results are bit-identical to the unfused array.
+// the trap points and, in the generic loop, injection and taint — so
+// results are bit-identical to executing the pair's instructions one by one.
 //
 // Fused opcodes live far above ir.opMax; they exist only inside compiled
-// fused code and never appear in a Program's unfused array.
+// code.
 const (
 	opFusedCmpBr      ir.Op = 0xF0 + iota // icmp/fcmp + condbr on its result
 	opFusedLoadArith                      // load + arithmetic
@@ -85,10 +86,11 @@ func fusePair(a, b *inst) (inst, bool) {
 	return inst{}, false
 }
 
-// fuseFunc builds the function's fused code array: a greedy left-to-right
-// pairing within each block, then a jump-target remap from unfused to fused
-// pcs. Global counter indices (blkA/blkB/edgeA/edgeB) are positions in the
-// shared counter space, not pcs, so they carry over unchanged.
+// fuseFunc fuses the function's code array in place: a greedy left-to-right
+// pairing within each block, then a jump-target and block-table remap from
+// unfused to fused pcs. Global counter indices (blkA/blkB/edgeA/edgeB) are
+// positions in the shared counter space, not pcs, so they carry over
+// unchanged.
 func fuseFunc(cf *compiledFunc) {
 	n := len(cf.code)
 	remap := make([]int32, n)
@@ -119,10 +121,8 @@ func fuseFunc(cf *compiledFunc) {
 			in.jumpA, in.jumpB = remap[in.jumpA], remap[in.jumpB]
 		}
 	}
-	cf.fused = fused
-	cf.fusedOf = fusedOf
-	cf.fusedStart = make([]int32, cf.numBlocks)
 	for lb, s := range cf.blockStart {
-		cf.fusedStart[lb] = remap[s]
+		cf.blockStart[lb] = remap[s]
 	}
+	cf.code, cf.blockOf = fused, fusedOf
 }

@@ -3,30 +3,27 @@ package interp
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"testing"
 
+	"repro/internal/fault"
+	"repro/internal/interp/interptest"
 	"repro/internal/ir"
 	"repro/internal/ir/irtest"
 	"repro/internal/xrand"
 )
 
-// The fast-path equivalence gate (`make test-fusion`): every observable of a
-// block-counting run — over the fused superinstruction array or the plain
-// one — must be bit-identical to the legacy per-instruction engine, at every
-// possible abort point. The harness runs all three engines on the same
-// (program, args, budget) triple and compares return value, output, dynamic
-// count, trap, budget flag, detected flag, coverage and the reconstructed
-// per-instruction count vector; block and fused fitness must agree bit for
-// bit, and both must match the per-instruction ground truth to tolerance
-// (the summation order differs, so exact float equality across engines is
-// not required — only across the two fast modes, which share the canonical
-// counter-order association).
+// The fast-path equivalence gate (`make test-fusion`): every observable of
+// the engine — a profiled Run, a block-counting Profiler run over the same
+// fused code, and fault-injected Runs — must be bit-identical to the
+// reference interpreter (internal/interp/interptest) at every possible
+// abort point. The harness compares return value, output, dynamic count,
+// trap, budget flag, detected flag, coverage and the per-instruction count
+// vector; fitness must match the per-instruction ground truth to tolerance
+// (the counter-order summation associates differently).
 
 type equivHarness struct {
 	p      *Program
-	block  *Profiler
-	fused  *Profiler
+	prof   *Profiler
 	scores []float64
 	cs     []float64
 }
@@ -36,79 +33,43 @@ func newEquivHarness(p *Program, rng *xrand.RNG) *equivHarness {
 	for i := range scores {
 		scores[i] = rng.Float64()
 	}
-	return &equivHarness{
-		p:      p,
-		block:  NewProfilerMode(p, ProfileBlock),
-		fused:  NewProfilerMode(p, ProfileFused),
-		scores: scores,
-		cs:     p.CounterScores(scores),
-	}
+	return &equivHarness{p: p, prof: NewProfiler(p), scores: scores, cs: p.CounterScores(scores)}
 }
 
-func (h *equivHarness) checkOne(t *testing.T, label string, pr *Profiler, want *Result, args []uint64, maxDyn int64) float64 {
+// check runs the reference interpreter as ground truth and both the
+// profiled Run and the Profiler against it, returning the reference result
+// (for deriving budget cutoffs).
+func (h *equivHarness) check(t *testing.T, label string, args []uint64, maxDyn int64) *interptest.Result {
 	t.Helper()
-	r := pr.Run(args, maxDyn)
-	if r.Ret != want.Ret || r.DynCount != want.DynCount ||
-		r.BudgetExceeded != want.BudgetExceeded || r.DetectedFlag != want.DetectedFlag {
-		t.Fatalf("%s: result mismatch: ret %d/%d dyn %d/%d budget %v/%v detected %v/%v",
-			label, r.Ret, want.Ret, r.DynCount, want.DynCount,
-			r.BudgetExceeded, want.BudgetExceeded, r.DetectedFlag, want.DetectedFlag)
-	}
-	if (r.Trap == nil) != (want.Trap == nil) || (r.Trap != nil && *r.Trap != *want.Trap) {
-		t.Fatalf("%s: trap mismatch: %v vs %v", label, r.Trap, want.Trap)
-	}
-	if !OutputEqual(r.Output, want.Output) {
-		t.Fatalf("%s: output mismatch: %v vs %v", label, r.Output, want.Output)
-	}
-	got := r.InstrCounts(nil)
-	if !reflect.DeepEqual(got, want.InstrCounts) {
-		for id := range got {
-			if got[id] != want.InstrCounts[id] {
-				t.Errorf("%s: instr %d count %d, want %d", label, id, got[id], want.InstrCounts[id])
-			}
-		}
-		t.Fatalf("%s: reconstructed InstrCounts differ from legacy", label)
-	}
-	if cov, wantCov := r.Coverage(), want.Coverage(h.p.NumInstrs()); cov != wantCov {
-		t.Fatalf("%s: coverage %v, want %v", label, cov, wantCov)
-	}
-	return r.Fitness(h.cs)
-}
-
-// check runs the legacy engine as ground truth and both fast engines
-// against it, returning the legacy result (for deriving budget cutoffs).
-func (h *equivHarness) check(t *testing.T, label string, args []uint64, maxDyn int64) *Result {
-	t.Helper()
-	want := Run(h.p, args, Options{Profile: true, MaxDyn: maxDyn})
-	fb := h.checkOne(t, label+"/block", h.block, want, args, maxDyn)
-	ff := h.checkOne(t, label+"/fused", h.fused, want, args, maxDyn)
-	if math.Float64bits(fb) != math.Float64bits(ff) {
-		t.Fatalf("%s: fitness bits differ between block and fused: %v vs %v", label, fb, ff)
-	}
-	if want.Trap != nil || want.BudgetExceeded || want.DynCount == 0 {
-		if fb != 0 {
-			t.Fatalf("%s: failed run fitness %v, want 0", label, fb)
+	want := refRun(h.p, args, Options{MaxDyn: maxDyn})
+	checkRef(t, label+"/run", Run(h.p, args, Options{Profile: true, MaxDyn: maxDyn}), want)
+	r := h.prof.Run(args, maxDyn)
+	checkProfileRef(t, label+"/profiler", r, want)
+	fit := r.Fitness(h.cs)
+	if want.Trap != "" || want.BudgetExceeded || want.DynCount == 0 || want.DetectedFlag {
+		if fit != 0 {
+			t.Fatalf("%s: failed run fitness %v, want 0", label, fit)
 		}
 		return want
 	}
 	var acc float64
-	for id, c := range want.InstrCounts {
+	for id, c := range want.Counts {
 		acc += h.scores[id] * float64(c)
 	}
-	legacyFit := acc / float64(want.DynCount)
-	if diff := math.Abs(fb - legacyFit); diff > 1e-9*math.Max(1, math.Abs(legacyFit)) {
-		t.Fatalf("%s: fitness %v too far from per-instruction ground truth %v", label, fb, legacyFit)
+	refFit := acc / float64(want.DynCount)
+	if diff := math.Abs(fit - refFit); diff > 1e-9*math.Max(1, math.Abs(refFit)) {
+		t.Fatalf("%s: fitness %v too far from per-instruction ground truth %v", label, fit, refFit)
 	}
 	return want
 }
 
-// countFusedOps tallies superinstruction slots across a program's fused
-// code arrays.
+// countFusedOps tallies superinstruction slots across a program's code
+// arrays.
 func countFusedOps(p *Program) map[ir.Op]int {
 	c := make(map[ir.Op]int)
 	for _, cf := range p.funcs {
-		for i := range cf.fused {
-			switch op := cf.fused[i].op; op {
+		for i := range cf.code {
+			switch op := cf.code[i].op; op {
 			case opFusedCmpBr, opFusedLoadArith, opFusedArithLoad, opFusedArithStore, opFusedArithArith:
 				c[op]++
 			}
@@ -191,7 +152,7 @@ func buildBadAlloc(t testing.TB) *Program {
 
 // TestFusionProducesSuperinstructions asserts the fusion pass actually
 // fires — every fused opcode appears somewhere in the white-box suite, and
-// fused arrays are shorter than their unfused sources.
+// code arrays are shorter than their source instruction sequences.
 func TestFusionProducesSuperinstructions(t *testing.T) {
 	progs := map[string]*Program{
 		"sumloop":   buildSumLoop(t),
@@ -207,16 +168,29 @@ func TestFusionProducesSuperinstructions(t *testing.T) {
 			t.Errorf("%s: no superinstructions formed", name)
 		}
 		shorter := false
-		for _, cf := range p.funcs {
-			if len(cf.fused) < len(cf.code) {
+		for fi, cf := range p.funcs {
+			source := 0 // non-phi instructions: the unfused slot count
+			for _, b := range p.Mod.Funcs[fi].Blocks {
+				for _, in := range b.Instrs {
+					if in.Op != ir.OpPhi {
+						source++
+					}
+				}
+			}
+			if len(cf.code) < source {
 				shorter = true
 			}
-			if len(cf.fusedOf) != len(cf.fused) || len(cf.fusedStart) != int(cf.numBlocks) {
-				t.Fatalf("%s/%s: fused table sizes inconsistent", name, cf.name)
+			if len(cf.blockOf) != len(cf.code) || len(cf.blockStart) != int(cf.numBlocks) {
+				t.Fatalf("%s/%s: block table sizes inconsistent", name, cf.name)
+			}
+			for lb, s := range cf.blockStart {
+				if cf.blockOf[s] != int32(lb) || (s > 0 && cf.blockOf[s-1] == int32(lb)) {
+					t.Fatalf("%s/%s: block %d does not start at pc %d", name, cf.name, lb, s)
+				}
 			}
 		}
 		if !shorter {
-			t.Errorf("%s: fused array not shorter than unfused", name)
+			t.Errorf("%s: code array not shorter than its source instructions", name)
 		}
 		for op, n := range counts {
 			total[op] += n
@@ -238,7 +212,7 @@ func TestBlockProfileEquivWhiteBox(t *testing.T) {
 	for name, tc := range ckptProgs(t) {
 		h := newEquivHarness(tc.p, rng)
 		full := h.check(t, name+"/full", tc.args, 0)
-		if full.Trap != nil || full.BudgetExceeded {
+		if full.Trap != "" || full.BudgetExceeded {
 			t.Fatalf("%s: unexpected failure on full run: %+v", name, full)
 		}
 		d := full.DynCount
@@ -254,7 +228,7 @@ func TestBlockProfileEquivWhiteBox(t *testing.T) {
 
 // TestFusionTrapEquiv drives traps through fused pairs (first and second
 // sub-op), division, allocation, recursion depth and the detect intrinsic,
-// checking all three engines agree on every observable.
+// checking the engine agrees with the reference on every observable.
 func TestFusionTrapEquiv(t *testing.T) {
 	rng := xrand.New(7)
 	minInt64 := uint64(1) << 63
@@ -283,12 +257,13 @@ func TestFusionTrapEquiv(t *testing.T) {
 	for _, tc := range cases {
 		h := newEquivHarness(tc.p, rng)
 		want := h.check(t, tc.name, tc.args, 0)
-		got := TrapNone
-		if want.Trap != nil {
-			got = want.Trap.Kind
-		}
-		if got != tc.want {
-			t.Errorf("%s: trap %v, want %v", tc.name, got, tc.want)
+		if wantKind := ""; tc.want != TrapNone {
+			wantKind = tc.want.String()
+			if want.Trap != wantKind {
+				t.Errorf("%s: trap %q, want %q", tc.name, want.Trap, wantKind)
+			}
+		} else if want.Trap != "" {
+			t.Errorf("%s: trap %q, want none", tc.name, want.Trap)
 		}
 		// Sweep cutoffs around the failure point too: aborting before the
 		// trap must be a plain budget abort in every engine.
@@ -300,14 +275,14 @@ func TestFusionTrapEquiv(t *testing.T) {
 	}
 	p := buildDetect(t)
 	r := NewProfiler(p).Run([]uint64{4}, 0)
-	if !r.DetectedFlag {
-		t.Error("fast path lost the sdc_detect flag")
+	if !r.DetectedFlag || !r.Failed() {
+		t.Error("fast path lost the sdc_detect flag, or scored the detected run as usable")
 	}
 }
 
 // TestBlockProfileEquivRandomModules is the property test over random IR
-// modules: block-derived InstrCounts must equal the legacy per-instruction
-// vector for arbitrary well-typed programs, at full runs and at budget
+// modules: block-derived InstrCounts must equal the reference interpreter's
+// per-instruction vector for arbitrary well-typed programs, at full runs and at budget
 // cutoffs (including cut = dyn, the no-abort boundary).
 func TestBlockProfileEquivRandomModules(t *testing.T) {
 	rng := xrand.New(0x5eed)
@@ -342,26 +317,75 @@ func TestBlockProfileEquivRandomModules(t *testing.T) {
 
 // TestProfileEquivReuse checks that one Profiler's reused machine state
 // (memory is not cleared between runs) cannot leak across runs: fresh
-// results stay identical to the legacy engine across differing inputs and
+// results stay identical to the reference across differing inputs and
 // after aborted runs.
 func TestProfileEquivReuse(t *testing.T) {
 	p := buildMemory(t)
-	for _, mode := range []ProfileMode{ProfileBlock, ProfileFused} {
-		pr := NewProfilerMode(p, mode)
-		for i := 0; i < 12; i++ {
-			n := uint64(3 + 11*i%40)
-			want := Run(p, []uint64{n}, Options{Profile: true})
-			r := pr.Run([]uint64{n}, 0)
-			if r.Ret != want.Ret || r.DynCount != want.DynCount {
-				t.Fatalf("%v reuse run %d: ret %d/%d dyn %d/%d", mode, i, r.Ret, want.Ret, r.DynCount, want.DynCount)
-			}
-			if !reflect.DeepEqual(r.InstrCounts(nil), want.InstrCounts) {
-				t.Fatalf("%v reuse run %d: counts diverged", mode, i)
-			}
-			// Interleave an aborted run: the next clean run must be unaffected.
-			if ab := pr.Run([]uint64{n}, 17); !ab.BudgetExceeded {
-				t.Fatalf("%v reuse run %d: cutoff 17 did not exhaust budget", mode, i)
-			}
+	pr := NewProfiler(p)
+	for i := 0; i < 12; i++ {
+		n := uint64(3 + 11*i%40)
+		checkProfileRef(t, fmt.Sprintf("reuse run %d", i), pr.Run([]uint64{n}, 0), refRun(p, []uint64{n}, Options{}))
+		// Interleave an aborted run: the next clean run must be unaffected.
+		if ab := pr.Run([]uint64{n}, 17); !ab.BudgetExceeded {
+			t.Fatalf("reuse run %d: cutoff 17 did not exhaust budget", i)
 		}
+	}
+}
+
+// checkInjectionSweep injects a fault at every dynamic index of a run —
+// both halves of every fused pair included — and at every occurrence of
+// every static instruction, on the engine from scratch, and compares each
+// trial with the reference. Fixed-bit plans flip bit 0 (valid for every
+// width); a deferred-bit plan per index also checks the RNG draw order.
+func checkInjectionSweep(t *testing.T, label string, p *Program, args []uint64) {
+	t.Helper()
+	golden := refRun(p, args, Options{})
+	budget := golden.DynCount*3 + 1000
+	try := func(l string, plan fault.Plan, seed uint64) {
+		t.Helper()
+		opts := Options{Plan: &plan, MaxDyn: budget}
+		ref := Options{Plan: &plan, MaxDyn: budget}
+		if seed != 0 {
+			opts.FaultRNG, ref.FaultRNG = xrand.New(seed), xrand.New(seed)
+		}
+		want := refRun(p, args, ref)
+		if !want.Injected {
+			t.Fatalf("%s: plan %v never fired on the reference", l, plan)
+		}
+		checkRef(t, l, Run(p, args, opts), want)
+	}
+	for d := int64(1); d <= golden.DynCount; d++ {
+		try(label+"/dyn", fault.Plan{Mode: fault.ModeDynamic, TargetDyn: d, Bit: 0}, 0)
+		pending := fault.SampleDynamic(xrand.New(uint64(d)), golden.DynCount)
+		pending.TargetDyn = d
+		try(label+"/dyn-pending", pending, uint64(d)+1)
+	}
+	for id, n := range golden.Counts {
+		for occ := int64(1); occ <= n; occ++ {
+			try(label+"/static", fault.Plan{Mode: fault.ModeStatic, StaticID: id, Occurrence: occ, Bit: 0}, 0)
+		}
+	}
+}
+
+// TestFusionInjectionEquiv injects at every dynamic index — the first and
+// the second half of every fused pair included — and at every occurrence
+// of every static instruction of the white-box programs, comparing each
+// faulty Run with the reference interpreter.
+func TestFusionInjectionEquiv(t *testing.T) {
+	progs := ckptProgs(t)
+	for name, tc := range map[string]struct {
+		p    *Program
+		args []uint64
+	}{
+		"fusedload": {buildFusedLoadTrap(t), []uint64{2}},
+		"gepload":   {buildFusedArithLoadTrap(t), []uint64{3}},
+		"gepstore":  {buildFusedStoreTrap(t), []uint64{1}},
+		"div":       {buildDivTrap(t), []uint64{10, u64(-3)}},
+		"detect":    {buildDetect(t), []uint64{9}},
+	} {
+		progs[name] = tc
+	}
+	for name, tc := range progs {
+		checkInjectionSweep(t, name, tc.p, tc.args)
 	}
 }

@@ -3,7 +3,6 @@ package interp_test
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/interp"
@@ -12,36 +11,12 @@ import (
 )
 
 // The benchmark-level half of the fast-path equivalence gate: for every
-// program benchmark, the block-counting and fused engines must reproduce
-// the legacy profiled run bit for bit — outputs, return value, dynamic
-// count, trap/budget state, reconstructed InstrCounts — on the reference
-// input, on random scaled inputs, and under budget cutoffs that abort the
-// run mid-flight. Block and fused fitness must agree exactly.
-
-func checkProfileRun(t *testing.T, label string, want *interp.Result, r *interp.ProfileRun) {
-	t.Helper()
-	if r.Ret != want.Ret || r.DynCount != want.DynCount ||
-		r.BudgetExceeded != want.BudgetExceeded || r.DetectedFlag != want.DetectedFlag {
-		t.Fatalf("%s: result mismatch: ret %d/%d dyn %d/%d budget %v/%v detected %v/%v",
-			label, r.Ret, want.Ret, r.DynCount, want.DynCount,
-			r.BudgetExceeded, want.BudgetExceeded, r.DetectedFlag, want.DetectedFlag)
-	}
-	if (r.Trap == nil) != (want.Trap == nil) || (r.Trap != nil && *r.Trap != *want.Trap) {
-		t.Fatalf("%s: trap mismatch: %v vs %v", label, r.Trap, want.Trap)
-	}
-	if !interp.OutputEqual(r.Output, want.Output) {
-		t.Fatalf("%s: output mismatch (%d vs %d values)", label, len(r.Output), len(want.Output))
-	}
-	if got := r.InstrCounts(nil); !reflect.DeepEqual(got, want.InstrCounts) {
-		for id := range got {
-			if got[id] != want.InstrCounts[id] {
-				t.Errorf("%s: instr %d count %d, want %d", label, id, got[id], want.InstrCounts[id])
-			}
-		}
-		t.Fatalf("%s: reconstructed InstrCounts differ from legacy", label)
-	}
-}
-
+// program benchmark, the profiled Run and the block-counting Profiler must
+// reproduce the reference interpreter bit for bit — outputs, return value,
+// dynamic count, trap/budget state, per-instruction counts — on the
+// reference input, on random scaled inputs, and under budget cutoffs that
+// abort the run mid-flight. Fitness must match the per-instruction ground
+// truth to tolerance.
 func TestProfileEquivBenchmarks(t *testing.T) {
 	rng := xrand.New(99)
 	for _, name := range prog.Names() {
@@ -51,15 +26,14 @@ func TestProfileEquivBenchmarks(t *testing.T) {
 			scores[i] = rng.Float64()
 		}
 		cs := b.Prog.CounterScores(scores)
-		block := interp.NewProfilerMode(b.Prog, interp.ProfileBlock)
-		fused := interp.NewProfilerMode(b.Prog, interp.ProfileFused)
+		pr := interp.NewProfiler(b.Prog)
 
 		inputs := [][]uint64{b.Encode(b.RefInput())}
 		for k := 0; k < 2; k++ {
 			inputs = append(inputs, b.Encode(b.RandomInputScaled(rng, 0.3)))
 		}
 		for ii, in := range inputs {
-			full := interp.Run(b.Prog, in, interp.Options{Profile: true, MaxDyn: b.MaxDyn})
+			full := interp.RefRun(b.Prog, in, interp.Options{MaxDyn: b.MaxDyn})
 			d := full.DynCount
 			cutoffs := []int64{b.MaxDyn, d / 2, d - 1, d}
 			if testing.Short() && ii > 0 {
@@ -70,15 +44,24 @@ func TestProfileEquivBenchmarks(t *testing.T) {
 					continue
 				}
 				label := fmt.Sprintf("%s/in%d/cut%d", name, ii, cut)
-				want := interp.Run(b.Prog, in, interp.Options{Profile: true, MaxDyn: cut})
-				br := block.Run(in, cut)
-				fitB := br.Fitness(cs)
-				checkProfileRun(t, label+"/block", want, br)
-				fr := fused.Run(in, cut)
-				fitF := fr.Fitness(cs)
-				checkProfileRun(t, label+"/fused", want, fr)
-				if math.Float64bits(fitB) != math.Float64bits(fitF) {
-					t.Fatalf("%s: fitness bits differ between block and fused: %v vs %v", label, fitB, fitF)
+				want := interp.RefRun(b.Prog, in, interp.Options{MaxDyn: cut})
+				interp.CheckRef(t, label+"/run", interp.Run(b.Prog, in, interp.Options{Profile: true, MaxDyn: cut}), want)
+				r := pr.Run(in, cut)
+				interp.CheckProfileRef(t, label+"/profiler", r, want)
+				fit := r.Fitness(cs)
+				if r.Failed() {
+					if fit != 0 {
+						t.Fatalf("%s: failed run fitness %v", label, fit)
+					}
+					continue
+				}
+				var acc float64
+				for id, c := range want.Counts {
+					acc += scores[id] * float64(c)
+				}
+				refFit := acc / float64(want.DynCount)
+				if diff := math.Abs(fit - refFit); diff > 1e-9*math.Max(1, math.Abs(refFit)) {
+					t.Fatalf("%s: fitness %v too far from per-instruction ground truth %v", label, fit, refFit)
 				}
 			}
 		}

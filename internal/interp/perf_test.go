@@ -67,13 +67,10 @@ func BenchmarkGoldenCheckpointed(b *testing.B) {
 // per-trial RNG streams (the campaign.OverallParallel contract) so its
 // tally differs from the serial ones but is itself deterministic.
 // cmd/benchjson derives overall_speedup from the scratch/checkpointed
-// ns/op ratio and batch_speedup from checkpointed/batched.
-//
-// The checkpointed golden is hand-built on the generic (unfused) engine,
-// pinning the measurement to the per-trial resume path as it shipped —
-// NewGoldenCheckpointed now records fused snapshots, so using it here would
-// fold the fused engine's gain into the checkpointed baseline and
-// understate batch_speedup's own contribution.
+// ns/op ratio and batch_speedup from checkpointed/batched. checkpointed and
+// batched classify against the same auto-spaced checkpointed golden, so
+// batch_speedup isolates the lockstep batching itself; every variant runs
+// the one fused code array.
 func BenchmarkOverall(b *testing.B) {
 	b.Run("scratch", func(b *testing.B) {
 		for _, name := range prog.Names() {
@@ -91,20 +88,9 @@ func BenchmarkOverall(b *testing.B) {
 		for _, name := range prog.Names() {
 			b.Run(name, func(b *testing.B) {
 				bench := prog.Build(name)
-				in := bench.Encode(bench.RefInput())
-				plain := interp.Run(bench.Prog, in, interp.Options{MaxDyn: bench.MaxDyn})
-				r := interp.Run(bench.Prog, in, interp.Options{
-					Profile:            true,
-					MaxDyn:             bench.MaxDyn,
-					CheckpointInterval: interp.AutoCheckpointInterval(plain.DynCount),
-				})
-				g := &campaign.Golden{
-					Input:       in,
-					Output:      r.Output,
-					DynCount:    r.DynCount,
-					InstrCounts: r.InstrCounts,
-					NumInstrs:   bench.Prog.NumInstrs(),
-					Checkpoints: r.Checkpoints,
+				g, err := campaign.NewGoldenCheckpointed(bench.Prog, bench.Encode(bench.RefInput()), bench.MaxDyn, campaign.CheckpointAuto)
+				if err != nil {
+					b.Fatal(err)
 				}
 				benchmarkOverall(b, bench, g)
 			})
@@ -141,46 +127,68 @@ func BenchmarkOverall(b *testing.B) {
 }
 
 // BenchmarkFitnessProfile measures one GA candidate evaluation — a profiled
-// reference-input run folded into the §4.2.5 fitness — on the three engines:
-// the legacy per-instruction interpreter, the block-granular counting fast
-// path, and the fused superinstruction array. cmd/benchjson derives the
-// per-benchmark perinstr/fused speedup for BENCH_fitness.json. allocs/op is
-// reported; the fast paths must be allocation-free in steady state.
+// reference-input run folded into the §4.2.5 fitness — two ways: perinstr
+// is a per-instruction profiled Run followed by a loop over the count
+// vector, fused the block-counting Profiler behind core.FitnessEval with its
+// counter-space fold. cmd/benchjson derives the per-benchmark
+// perinstr/fused speedup for BENCH_fitness.json. allocs/op is reported; the
+// fused path must be allocation-free in steady state.
 func BenchmarkFitnessProfile(b *testing.B) {
-	modes := []struct {
-		name string
-		mode interp.ProfileMode
-	}{
-		{"perinstr", interp.ProfileLegacy},
-		{"block", interp.ProfileBlock},
-		{"fused", interp.ProfileFused},
+	setup := func(name string) (*prog.Benchmark, []float64) {
+		bench := prog.Build(name)
+		rng := xrand.New(7)
+		scores := make([]float64, bench.Prog.NumInstrs())
+		for i := range scores {
+			scores[i] = rng.Float64()
+		}
+		return bench, scores
 	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			for _, name := range prog.Names() {
-				b.Run(name, func(b *testing.B) {
-					bench := prog.Build(name)
-					rng := xrand.New(7)
-					scores := make([]float64, bench.Prog.NumInstrs())
-					for i := range scores {
-						scores[i] = rng.Float64()
+	b.Run("perinstr", func(b *testing.B) {
+		for _, name := range prog.Names() {
+			b.Run(name, func(b *testing.B) {
+				bench, scores := setup(name)
+				args := bench.Encode(bench.RefInput())
+				var dyn int64
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					r := interp.Run(bench.Prog, args, interp.Options{Profile: true, MaxDyn: bench.MaxDyn})
+					var acc float64
+					for id, n := range r.InstrCounts {
+						if n > 0 {
+							acc += scores[id] * float64(n)
+						}
 					}
-					fe := core.NewFitnessEvalMode(bench, scores, m.mode)
-					in := bench.RefInput()
-					var dyn int64
-					fe.Eval(in) // warm the pooled profiling context
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						_, dyn = fe.Eval(in)
-					}
-					b.StopTimer()
-					b.ReportMetric(float64(dyn), "dyn/op")
-				})
-			}
-		})
-	}
+					sink = acc / float64(r.DynCount)
+					dyn = r.DynCount
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(dyn), "dyn/op")
+			})
+		}
+	})
+	b.Run("fused", func(b *testing.B) {
+		for _, name := range prog.Names() {
+			b.Run(name, func(b *testing.B) {
+				bench, scores := setup(name)
+				fe := core.NewFitnessEval(bench, scores)
+				in := bench.RefInput()
+				var dyn int64
+				fe.Eval(in) // warm the pooled profiling context
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sink, dyn = fe.Eval(in)
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(dyn), "dyn/op")
+			})
+		}
+	})
 }
+
+// sink keeps benchmarked fitness values live.
+var sink float64
 
 func benchmarkOverall(b *testing.B, bench *prog.Benchmark, g *campaign.Golden) {
 	before := g.CheckpointStats()

@@ -8,7 +8,7 @@ package service
 // share its result; the golden memo is LRU-capped for long-running servers.
 //
 // Cache keys follow the compose convention: program hash ⨯ input ⨯
-// checkpoint interval ⨯ fault model ⨯ engine, '\x1f'-joined. The program
+// checkpoint interval ⨯ fault model, '\x1f'-joined. The program
 // hash is the compose partition hash (FNV-64a over the printed module), so
 // two benchmarks that somehow compiled identical programs would share
 // goldens, and a changed program can never alias a stale one.
@@ -24,12 +24,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/prog"
 )
-
-// goldenEngine names the execution engine in golden cache keys; the fault
-// model axis comes from the job spec (fault.ModelKey, default "bitflip"),
-// mirroring compose.DefaultFaultModel: fault models or engines can never
-// alias each other's cached runs.
-const goldenEngine = "fused"
 
 // benchEntry is one built benchmark plus its program-identity hash.
 type benchEntry struct {
@@ -72,9 +66,11 @@ func (c *workCache) bench(name string) *benchEntry {
 
 // goldenKey builds the golden cache key. Inputs key by their exact float64
 // bit patterns, so two inputs compare equal iff their encoded runs would.
-// model is the normalized fault-model name (fault.ModelKey): the golden run
-// itself is fault-free, but keying it per model keeps coordinator and peer
-// workers deriving identical keys from the job spec alone.
+// model is the normalized fault-model name (fault.ModelKey, default
+// "bitflip", mirroring compose.DefaultFaultModel): the golden run itself is
+// fault-free, but keying it per model keeps coordinator and peer workers
+// deriving identical keys from the job spec alone, and fault models can
+// never alias each other's cached runs.
 func goldenKey(hash string, input []float64, interval int64, model string) string {
 	var sb strings.Builder
 	sb.WriteString(hash)
@@ -89,8 +85,6 @@ func goldenKey(hash string, input []float64, interval int64, model string) strin
 	sb.WriteString(strconv.FormatInt(interval, 10))
 	sb.WriteByte(0x1f)
 	sb.WriteString(fault.ModelKey(model))
-	sb.WriteByte(0x1f)
-	sb.WriteString(goldenEngine)
 	return sb.String()
 }
 
