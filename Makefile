@@ -36,11 +36,13 @@ bench-smoke:
 bench-workers:
 	$(GO) test -bench=Workers -benchtime=3x -run='^$$' .
 
-# Checkpointed-execution equivalence gate: every resumed FI trial — and
-# every lockstep-batched one — must be bit-identical to a from-scratch one,
-# at the interpreter, campaign and parallel layers.
+# Checkpointed-execution equivalence gate: every resumed FI trial — every
+# lockstep-batched one, and every trial of a reused Injector — must be
+# bit-identical to a from-scratch one, at the interpreter, campaign and
+# parallel layers; the Injector tests also gate the serial trial path's
+# steady-state allocations.
 test-checkpoint:
-	$(GO) test -count=1 -run 'Batch|Checkpoint|RunFrom|Snapshot' \
+	$(GO) test -count=1 -run 'Batch|Checkpoint|RunFrom|Snapshot|Injector' \
 		./internal/interp ./internal/campaign
 
 # Measure golden-run and 1000-trial campaign throughput — from scratch,

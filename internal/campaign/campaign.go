@@ -268,14 +268,22 @@ func EmitBatchTelemetry(tr *telemetry.Stream, event string, st interp.Checkpoint
 // Benign since the execution is then identical to golden). When the golden
 // carries checkpoints, the trial resumes from the nearest snapshot before
 // its injection point; outcome, injected ID/bit and dynamic count are
-// bit-identical to a from-scratch run either way.
+// bit-identical to a from-scratch run either way. Each call builds a fresh
+// trial machine; the campaign loops below reuse one across their trials.
 func Classify(p *interp.Program, g *Golden, plan fault.Plan, rng *xrand.RNG, detector func(staticID int) bool) (Outcome, int, int64) {
-	budget := g.DynCount*hangBudgetMultiplier + hangBudgetSlack
-	r := interp.RunWithCheckpoints(p, g.Input, g.Checkpoints, interp.Options{
-		Plan:     &plan,
-		FaultRNG: rng,
-		MaxDyn:   budget,
-	})
+	return classify(newInjector(p, g), g, &plan, rng, detector)
+}
+
+// newInjector returns a trial machine for campaigns against g, armed with
+// the golden's hang budget. It lives for one campaign call (one per worker);
+// goldens never hold one, so they stay shareable across goroutines.
+func newInjector(p *interp.Program, g *Golden) *interp.Injector {
+	return interp.NewInjector(p, interp.Options{MaxDyn: g.DynCount*hangBudgetMultiplier + hangBudgetSlack})
+}
+
+// classify is Classify on a caller-held injector.
+func classify(inj *interp.Injector, g *Golden, plan *fault.Plan, rng *xrand.RNG, detector func(staticID int) bool) (Outcome, int, int64) {
+	r := inj.Run(g.Input, g.Checkpoints, plan, rng)
 	o, id := classifyResult(g, r, detector)
 	return o, id, r.DynCount
 }
@@ -429,12 +437,13 @@ func OverallCtx(ctx context.Context, p *interp.Program, g *Golden, trials int, r
 // same serial stream.
 func OverallModelCtx(ctx context.Context, p *interp.Program, g *Golden, trials int, rng *xrand.RNG, detector func(int) bool, m fault.Model) Counts {
 	var c Counts
+	inj := newInjector(p, g)
 	for i := 0; i < trials; i++ {
 		if ctxCanceled(ctx) {
 			break
 		}
 		plan := samplePlan(m, rng, g.DynCount)
-		o, _, dyn := Classify(p, g, plan, rng, detector)
+		o, _, dyn := classify(inj, g, &plan, rng, detector)
 		c.Add(o)
 		c.DynInstrs += dyn
 	}
@@ -468,13 +477,14 @@ type InstrResult struct {
 // that never execute under the input are skipped (zero-trial result).
 func PerInstruction(p *interp.Program, g *Golden, ids []int, trialsPerInstr int, rng *xrand.RNG) []InstrResult {
 	out := make([]InstrResult, 0, len(ids))
+	inj := newInjector(p, g)
 	for _, id := range ids {
 		res := InstrResult{ID: id}
 		if execCount := g.InstrCounts[id]; execCount > 0 {
 			ty := p.InstrType(id)
 			for t := 0; t < trialsPerInstr; t++ {
 				plan := fault.SampleStatic(rng, id, ty, execCount)
-				o, _, dyn := Classify(p, g, plan, rng, nil)
+				o, _, dyn := classify(inj, g, &plan, rng, nil)
 				res.Counts.Add(o)
 				res.Counts.DynInstrs += dyn
 			}

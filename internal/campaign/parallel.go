@@ -78,14 +78,15 @@ func OverallParallel(p *interp.Program, g *Golden, trials int, opts ParallelOpti
 	if opts.BatchSize > 1 {
 		return overallBatched(p, g, trials, opts)
 	}
-	outcomes := parallel.Map(opts.Workers, trials, func(i int) trialOutcome {
+	outcomes := make([]trialOutcome, trials)
+	parallel.ForEachWorker(opts.Workers, trials, func() *interp.Injector { return newInjector(p, g) }, func(inj *interp.Injector, i int) {
 		if ctxCanceled(opts.Ctx) {
-			return trialOutcome{}
+			return
 		}
 		rng := trialRNG(opts.Seed, i)
 		plan := samplePlan(opts.Model, rng, g.DynCount)
-		o, _, dyn := Classify(p, g, plan, rng, opts.Detector)
-		return trialOutcome{o: o, dyn: dyn, ok: true}
+		o, _, dyn := classify(inj, g, &plan, rng, opts.Detector)
+		outcomes[i] = trialOutcome{o: o, dyn: dyn, ok: true}
 	})
 	return foldOutcomes(outcomes)
 }
@@ -112,12 +113,14 @@ func foldOutcomes(outcomes []trialOutcome) Counts {
 // static plans draw their fault bits eagerly, never at injection), so the
 // batched counts are bit-identical to the per-trial ones.
 func PerInstructionParallel(p *interp.Program, g *Golden, ids []int, trialsPerInstr int, opts ParallelOptions) []InstrResult {
-	return parallel.Map(opts.Workers, len(ids), func(k int) InstrResult {
+	out := make([]InstrResult, len(ids))
+	parallel.ForEachWorker(opts.Workers, len(ids), func() *interp.Injector { return newInjector(p, g) }, func(inj *interp.Injector, k int) {
 		id := ids[k]
-		res := InstrResult{ID: id}
+		res := &out[k]
+		res.ID = id
 		execCount := g.InstrCounts[id]
 		if execCount <= 0 {
-			return res
+			return
 		}
 		ty := p.InstrType(id)
 		rng := trialRNG(opts.Seed, id)
@@ -131,19 +134,19 @@ func PerInstructionParallel(p *interp.Program, g *Golden, ids []int, trialsPerIn
 			// pool; nesting another ForEach would oversubscribe it.
 			runBatchJobs(p, g, plans, func(int) *xrand.RNG { return rng }, opts.BatchSize, 1, nil, ctxDone(opts.Ctx), outs)
 			res.Counts = foldOutcomes(outs)
-			return res
+			return
 		}
 		for t := 0; t < trialsPerInstr; t++ {
 			if ctxCanceled(opts.Ctx) {
 				break
 			}
 			plan := fault.SampleStatic(rng, id, ty, execCount)
-			o, _, dyn := Classify(p, g, plan, rng, nil)
+			o, _, dyn := classify(inj, g, &plan, rng, nil)
 			res.Counts.Add(o)
 			res.Counts.DynInstrs += dyn
 		}
-		return res
 	})
+	return out
 }
 
 // overallBatched is OverallParallel's lockstep path. Plans and per-trial
@@ -227,11 +230,11 @@ func RunPlans(p *interp.Program, g *Golden, plans []fault.Plan, rngFor func(i in
 	if opts.BatchSize > 1 {
 		runBatchJobs(p, g, plans, rngFor, opts.BatchSize, opts.Workers, opts.Detector, ctxDone(opts.Ctx), outs)
 	} else {
-		parallel.ForEach(opts.Workers, len(plans), func(i int) {
+		parallel.ForEachWorker(opts.Workers, len(plans), func() *interp.Injector { return newInjector(p, g) }, func(inj *interp.Injector, i int) {
 			if ctxCanceled(opts.Ctx) {
 				return
 			}
-			o, _, dyn := Classify(p, g, plans[i], rngFor(i), opts.Detector)
+			o, _, dyn := classify(inj, g, &plans[i], rngFor(i), opts.Detector)
 			outs[i] = trialOutcome{o: o, dyn: dyn, ok: true}
 		})
 	}

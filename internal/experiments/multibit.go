@@ -47,13 +47,7 @@ func MultiBit(s *Suite) (*MultiBitResult, error) {
 		}
 		single := campaign.Overall(b.Prog, g, s.Cfg.OverallTrials, rng)
 
-		var double campaign.Counts
-		for i := 0; i < s.Cfg.OverallTrials; i++ {
-			plan := fault.SampleDynamicMultiBit(rng, g.DynCount)
-			o, _, dyn := campaign.Classify(b.Prog, g, plan, rng, nil)
-			double.Add(o)
-			double.DynInstrs += dyn
-		}
+		double := campaign.OverallModelCtx(nil, b.Prog, g, s.Cfg.OverallTrials, rng, nil, fault.DoubleFlip)
 
 		sLo, sHi := single.SDCInterval()
 		dLo, dHi := double.SDCInterval()

@@ -238,12 +238,14 @@ func (e *exec) captureSnapshot(prev *Snapshot) *Snapshot {
 func (s *Snapshot) restoreInto(e *exec) {
 	e.dyn = s.dyn
 	e.memTop = s.memTop
-	if covered := int64(len(s.pages)) * pageWords; int64(len(e.mem)) < covered {
+	covered := int64(len(s.pages)) * pageWords
+	if int64(len(e.mem)) < covered {
 		e.growMem(covered)
 	}
 	for i, pg := range s.pages {
 		copy(e.mem[int64(i)*pageWords:], pg)
 	}
+	e.memHW = max(e.memHW, covered)
 	if s.slabTop > len(e.regSlab) {
 		e.growSlab(s.slabTop)
 	}
@@ -328,24 +330,35 @@ func RunFrom(p *Program, s *Snapshot, opts Options) *Result {
 }
 
 // RunWithCheckpoints is Run for fault-injection trials against a
-// checkpointed golden run: the trial resumes from the nearest snapshot
-// before its injection point when one exists, and falls back to a full run
+// checkpointed golden run: the trial resumes from the nearest snapshot before
+// its injection point when one exists, and falls back to a full run
 // otherwise (including when c is nil). Results are bit-identical to
 // Run(p, args, opts) — DynCount continues from the snapshot's dyn clock,
 // the RNG is first consumed at injection, and output/memory/stack state
 // below the snapshot is exactly the golden prefix's.
 func RunWithCheckpoints(p *Program, args []uint64, c *Checkpoints, opts Options) *Result {
+	if s := c.resumePoint(p, opts.Plan); s != nil {
+		return RunFrom(p, s, opts)
+	}
+	return Run(p, args, opts)
+}
+
+// resumePoint returns the snapshot a trial of plan on p resumes from (nil:
+// from the entry) and counts the choice in c's usage counters. A nil c
+// counts nothing.
+func (c *Checkpoints) resumePoint(p *Program, plan *fault.Plan) *Snapshot {
 	if c == nil {
-		return Run(p, args, opts)
+		return nil
 	}
 	if c.prog != p {
 		panic(fmt.Sprintf("interp: checkpoints belong to a different program (%p vs %p)", c.prog, p))
 	}
-	if s := c.ForPlan(opts.Plan); s != nil {
+	s := c.ForPlan(plan)
+	if s != nil {
 		c.restored.Add(1)
 		c.skipped.Add(s.dyn)
-		return RunFrom(p, s, opts)
+	} else {
+		c.scratch.Add(1)
 	}
-	c.scratch.Add(1)
-	return Run(p, args, opts)
+	return s
 }

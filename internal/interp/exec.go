@@ -230,6 +230,12 @@ type exec struct {
 	counts  []int64
 	profile bool
 
+	// memHW bounds the words ever written: mem[memHW:] is all zero. Allocas
+	// clear only the claimed words below it and growMem copies only those,
+	// so a fault that corrupts an allocation size into millions of words
+	// costs neither a clear nor a copy of the untouched region.
+	memHW int64
+
 	// Explicit call stack. Register windows live in regSlab (taintSlab when
 	// tracking) below slabTop; returning a frame just lowers slabTop, so
 	// call storage is reused instead of allocated per call.
@@ -319,7 +325,14 @@ func newExec(p *Program, opts Options) *exec {
 }
 
 func (e *exec) finish(ret uint64) *Result {
-	return &Result{
+	r := e.outcome(ret)
+	return &r
+}
+
+// outcome assembles the run's Result by value; Output, InstrCounts and the
+// other reference fields borrow the exec's buffers.
+func (e *exec) outcome(ret uint64) Result {
+	return Result{
 		Ret:            ret,
 		Output:         e.output,
 		DynCount:       e.dyn,
@@ -402,7 +415,7 @@ func (e *exec) growMem(n int64) {
 		sz = n
 	}
 	m := make([]uint64, sz)
-	copy(m, e.mem)
+	copy(m, e.mem[:e.memHW])
 	e.mem = m
 	if e.taintMem != nil {
 		t := make([]bool, sz)
@@ -413,6 +426,23 @@ func (e *exec) growMem(n int64) {
 		d := make([]bool, pageCount(sz))
 		copy(d, e.dirty)
 		e.dirty = d
+	}
+}
+
+// store writes one bounds-checked word, raising the written high-water
+// mark.
+func (e *exec) store(addr, v uint64) {
+	e.mem[addr] = v
+	if int64(addr) >= e.memHW {
+		e.memHW = int64(addr) + 1
+	}
+}
+
+// clearClaimed zeroes the words an alloca just claimed, [base, memTop),
+// skipping those at or above memHW, which were never written.
+func (e *exec) clearClaimed(base int64) {
+	if base < e.memHW {
+		clear(e.mem[base:min(e.memTop, e.memHW)])
 	}
 }
 
@@ -817,7 +847,7 @@ func (e *exec) run() (uint64, bool) {
 			if !e.checkAddr(cf.name, addr) {
 				return 0, false
 			}
-			e.mem[addr] = get(regs, consts, in.a2)
+			e.store(addr, get(regs, consts, in.a2))
 			if e.dirty != nil {
 				e.dirty[addr>>pageShift] = true
 			}
@@ -947,7 +977,7 @@ func (e *exec) run() (uint64, bool) {
 			}
 			// Zero the region: stack memory may be reused across frames and
 			// determinism requires a fixed initial state.
-			clear(e.mem[base:e.memTop])
+			e.clearClaimed(base)
 			if e.dirty != nil {
 				e.markDirty(base, e.memTop)
 			}
@@ -970,7 +1000,7 @@ func (e *exec) run() (uint64, bool) {
 			if !e.checkAddr(cf.name, addr) {
 				return 0, false
 			}
-			e.mem[addr] = get(regs, consts, in.a)
+			e.store(addr, get(regs, consts, in.a))
 			if e.dirty != nil {
 				e.dirty[addr>>pageShift] = true
 			}

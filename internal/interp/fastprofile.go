@@ -505,7 +505,7 @@ func (e *exec) runFast() (uint64, bool) {
 				fr.pc, e.dyn = pc, dyn
 				return 0, false
 			}
-			e.mem[addr] = get(regs, consts, in.a2)
+			e.store(addr, get(regs, consts, in.a2))
 			pc++
 			continue
 
@@ -629,7 +629,7 @@ func (e *exec) runFast() (uint64, bool) {
 			}
 			// Zeroing claimed stack memory is what lets resetFast skip
 			// clearing e.mem between runs.
-			clear(e.mem[base:e.memTop])
+			e.clearClaimed(base)
 			v = uint64(base)
 		case ir.OpLoad:
 			addr := get(regs, consts, in.a)
@@ -644,7 +644,7 @@ func (e *exec) runFast() (uint64, bool) {
 				fr.pc, e.dyn = pc, dyn
 				return 0, false
 			}
-			e.mem[addr] = get(regs, consts, in.a)
+			e.store(addr, get(regs, consts, in.a))
 			pc++
 			continue
 		case ir.OpCall:

@@ -18,6 +18,7 @@
 package parallel
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -66,6 +67,15 @@ func SetObserver(o Observer) {
 // distributed by an atomic cursor, so scheduling is dynamic; determinism is
 // fn's responsibility per the package contract.
 func ForEach(workers, n int, fn func(i int)) {
+	ForEachWorker(workers, n, func() struct{} { return struct{}{} }, func(_ struct{}, i int) { fn(i) })
+}
+
+// ForEachWorker is ForEach with per-worker state: every worker (the calling
+// goroutine on the serial path) builds one S with newState before its first
+// item and hands it to each fn call it makes — reusable scratch such as an
+// interpreter machine. Which items share a state depends on scheduling, so
+// fn's results must not depend on the state's history.
+func ForEachWorker[S any](workers, n int, newState func() S, fn func(s S, i int)) {
 	if n <= 0 {
 		return
 	}
@@ -82,8 +92,9 @@ func ForEach(workers, n int, fn func(i int)) {
 		start = time.Now()
 	}
 	if w <= 1 {
+		s := newState()
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(s, i)
 		}
 		if obs != nil {
 			obs(1, n, []int{n}, time.Since(start))
@@ -102,12 +113,13 @@ func ForEach(workers, n int, fn func(i int)) {
 	for k := 0; k < w; k++ {
 		go func(k int) {
 			defer wg.Done()
+			s := newState()
 			for {
 				i := int(atomic.AddInt64(&next, 1)) - 1
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(s, i)
 				if tasks != nil {
 					tasks[k]++
 				}
@@ -220,10 +232,29 @@ func (c *Memo[V]) Get(key string, compute func() (V, error)) (V, error) {
 		c.evictLocked()
 	}
 	c.mu.Unlock()
-	e.once.Do(func() {
-		e.val, e.err = compute()
-	})
+	e.once.Do(func() { c.fill(key, e, compute) })
 	return e.val, e.err
+}
+
+// fill runs compute for e. A panicking compute must not poison the cache:
+// sync.Once would record the entry as done with a zero value and nil error,
+// and every later identical Get would return that until eviction. Instead
+// the entry carries an error for the callers already blocked on it, is
+// dropped (if the map still holds it) so the next Get recomputes, and the
+// panic continues in the computing caller.
+func (c *Memo[V]) fill(key string, e *memoEntry[V], compute func() (V, error)) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.err = fmt.Errorf("parallel: memo compute for %q panicked: %v", key, r)
+			c.mu.Lock()
+			if c.m[key] == e {
+				delete(c.m, key)
+			}
+			c.mu.Unlock()
+			panic(r)
+		}
+	}()
+	e.val, e.err = compute()
 }
 
 // SetCap bounds the memo to at most n entries (n <= 0 removes the bound).

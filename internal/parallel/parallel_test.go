@@ -39,6 +39,33 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	ForEach(4, -1, func(int) { t.Fatal("fn called for n<0") })
 }
 
+// TestForEachWorkerStatePerWorker: every worker builds one state and is its
+// only user — at most min(workers, n) states, none used by two goroutines
+// at once — and every index still runs exactly once.
+func TestForEachWorkerStatePerWorker(t *testing.T) {
+	type state struct{ busy atomic.Bool }
+	for _, workers := range []int{1, 2, 4, 64} {
+		const n = 100
+		var built atomic.Int32
+		counts := make([]int32, n)
+		ForEachWorker(workers, n, func() *state { built.Add(1); return &state{} }, func(s *state, i int) {
+			if !s.busy.CompareAndSwap(false, true) {
+				t.Errorf("workers=%d: a state was shared by two running items", workers)
+			}
+			atomic.AddInt32(&counts[i], 1)
+			s.busy.Store(false)
+		})
+		for i, c := range counts {
+			if c != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
+			}
+		}
+		if b := int(built.Load()); b < 1 || b > min(Workers(workers), n) {
+			t.Fatalf("workers=%d: built %d states", workers, b)
+		}
+	}
+}
+
 func TestForEachSerialRunsInOrder(t *testing.T) {
 	var order []int
 	ForEach(1, 10, func(i int) { order = append(order, i) })
@@ -346,5 +373,57 @@ func TestMemoCapConcurrentComputes(t *testing.T) {
 	}
 	if st.Hits+st.Misses != 32 {
 		t.Fatalf("request tally lost: %+v", st)
+	}
+}
+
+// TestMemoPanicDoesNotPoison: a compute that panics re-panics in its caller,
+// hands callers already blocked on the entry an error instead of a zero
+// value, and leaves no entry behind — the next Get recomputes and succeeds.
+func TestMemoPanicDoesNotPoison(t *testing.T) {
+	var m Memo[*int]
+	started, release := make(chan struct{}), make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		m.Get("k", func() (*int, error) {
+			close(started)
+			<-release
+			panic("bad input")
+		})
+	}()
+	<-started
+	type res struct {
+		v   *int
+		err error
+	}
+	waiter := make(chan res, 1)
+	go func() {
+		v, err := m.Get("k", func() (*int, error) {
+			t.Error("waiter recomputed a key whose compute was in flight")
+			return nil, nil
+		})
+		waiter <- res{v, err}
+	}()
+	// The waiter's hit is recorded before it blocks on the entry.
+	for m.Stats().Hits == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	if r := <-panicked; r != "bad input" {
+		t.Fatalf("computing caller recovered %v, want the compute's panic", r)
+	}
+	if w := <-waiter; w.err == nil || w.v != nil {
+		t.Fatalf("blocked waiter got (%v, %v), want a nil value and an error", w.v, w.err)
+	}
+	if n := m.Len(); n != 0 {
+		t.Fatalf("panicked entry still cached (%d entries)", n)
+	}
+	one := 1
+	v, err := m.Get("k", func() (*int, error) { return &one, nil })
+	if err != nil || v == nil || *v != 1 {
+		t.Fatalf("retry after panic = (%v, %v), want a fresh value", v, err)
+	}
+	if st := m.Stats(); st.Misses != 2 || st.Hits != 1 {
+		t.Fatalf("stats %+v, want 2 misses (panic, retry) and 1 hit (waiter)", st)
 	}
 }

@@ -86,7 +86,8 @@ func Derive(p *interp.Program, g *campaign.Golden, opts Options, rng *xrand.RNG)
 		RawProb:         make([]float64, n),
 		Representatives: len(groups),
 	}
-	for _, grp := range groups {
+	reps := make([]int, len(groups))
+	for gi, grp := range groups {
 		rep := grp.Representative
 		// If the representative never executes under this input but some
 		// member does, fall back to an executed member so the group is
@@ -99,14 +100,19 @@ func Derive(p *interp.Program, g *campaign.Golden, opts Options, rng *xrand.RNG)
 				}
 			}
 		}
-		var prob float64
-		if g.InstrCounts[rep] > 0 {
-			res := campaign.PerInstruction(p, g, []int{rep}, trials, rng)
-			prob = res[0].Counts.SDCProbability()
-			d.FITrials += res[0].Counts.Trials
-			// Each trial costs roughly one golden-length execution.
-			d.FIDynInstrs += int64(res[0].Counts.Trials) * g.DynCount
-		}
+		reps[gi] = rep
+	}
+	// One campaign over every representative: PerInstruction walks them in
+	// group order on the shared stream, and a representative that never
+	// executes gets zero trials and draws nothing, so the draws match one
+	// campaign per group.
+	res := campaign.PerInstruction(p, g, reps, trials, rng)
+	for gi, grp := range groups {
+		c := res[gi].Counts
+		prob := c.SDCProbability()
+		d.FITrials += c.Trials
+		// Each trial costs roughly one golden-length execution.
+		d.FIDynInstrs += int64(c.Trials) * g.DynCount
 		for _, mID := range grp.Members {
 			d.RawProb[mID] = prob
 		}
