@@ -80,11 +80,13 @@ bench-regression:
 # Profiler runs and faulted runs of the fused engine must be bit-identical
 # to the test-only reference interpreter (internal/interp/interptest) —
 # outputs, dynamic counts, traps, per-instruction vectors, injection sites —
-# at the interpreter, benchmark and full-pipeline layers. The gate fails if
-# the regex stops matching any test in either package (go test would
-# otherwise report "no tests to run" and pass).
+# at the interpreter, benchmark and full-pipeline layers — plus the search's
+# single-flight fitness memo (one profiled run per distinct candidate, every
+# concurrent caller served its serial result). The gate fails if the regex
+# stops matching any test in either package (go test would otherwise report
+# "no tests to run" and pass).
 test-fusion:
-	@re='Fusion|BlockProfile|ProfileEquiv'; \
+	@re='Fusion|BlockProfile|ProfileEquiv|CandidateMemo'; \
 	for pkg in ./internal/interp ./internal/core; do \
 		$(GO) test -list "$$re" $$pkg | grep -q '^Test' || \
 			{ echo "test-fusion: no test in $$pkg matches $$re"; exit 1; }; \

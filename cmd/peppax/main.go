@@ -243,8 +243,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "step 2+3 sensitivity analysis: %d representatives (%d FI sites), %d trials, %.1fM dyn instrs\n",
 		res.Distribution.Representatives, b.Prog.NumInstrs(),
 		res.Distribution.FITrials, float64(res.Distribution.FIDynInstrs)/1e6)
-	fmt.Fprintf(stdout, "step 4+5 genetic search:       %d candidate evaluations, %.1fM dyn instrs\n\n",
-		res.Evaluations, float64(res.Cost.SearchDyn)/1e6)
+	fmt.Fprintf(stdout, "step 4+5 genetic search:       %d candidate evaluations (%d executed), %.1fM dyn instrs charged (%.1fM executed)\n\n",
+		res.Evaluations, res.Executions, float64(res.Cost.SearchDyn)/1e6, float64(res.Cost.SearchExecutedDyn)/1e6)
 
 	fmt.Fprintf(stdout, "SDC-bound input:   %v\n", res.BestInput)
 	fmt.Fprintf(stdout, "fitness score:     %.4f\n", res.BestFitness)

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"repro/internal/prog"
@@ -154,14 +155,12 @@ func TestOverallShardedCancellation(t *testing.T) {
 
 	// Mid-flight cancel: fire after the first classified trial. The exact
 	// stopping point is scheduling-dependent; the invariant is partial and
-	// honest, not a specific count.
+	// honest, not a specific count. Both shards call the detector
+	// concurrently, so it cancels through a sync.Once.
 	ctx2, cancel2 := context.WithCancel(context.Background())
-	fired := false
+	var fire sync.Once
 	det := func(int) bool {
-		if !fired {
-			fired = true
-			cancel2()
-		}
+		fire.Do(cancel2)
 		return false
 	}
 	c = OverallSharded(p, g, 200, 2, ParallelOptions{Workers: 1, Seed: 3, Ctx: ctx2, Detector: det})

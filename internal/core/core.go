@@ -30,10 +30,17 @@ import (
 // counts are the machine-independent cost currency (the paper reports
 // wall-clock hours on its testbed; relative costs are what transfer).
 type Cost struct {
-	SmallInputDyn   int64
-	SensitivityDyn  int64
-	SearchDyn       int64
-	FinalFIDyn      int64
+	SmallInputDyn  int64
+	SensitivityDyn int64
+	// SearchDyn is the GA's charged cost: every candidate evaluation pays
+	// its input's run length, the paper's one profiled run per candidate.
+	// Budgets and TotalDyn use it.
+	SearchDyn int64
+	// SearchExecutedDyn is the part of SearchDyn actually executed: the
+	// runs of distinct inputs, since repeats come from the fitness memo.
+	SearchExecutedDyn int64
+	FinalFIDyn        int64
+
 	SmallInputTime  time.Duration
 	SensitivityTime time.Duration
 	SearchTime      time.Duration

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/interp"
+	"repro/internal/parallel"
 	"repro/internal/prog"
 )
 
@@ -92,3 +95,46 @@ func (fe *FitnessEval) EvalProbe(input []float64, dst []int64) (float64, []int64
 	fe.put(ctx)
 	return f, dst, dyn
 }
+
+// candidateRun is one profiled candidate run's outcome: its fitness and the
+// dynamic instructions the run executed.
+type candidateRun struct {
+	fitness float64
+	dyn     int64
+}
+
+// candidateMemo is a search's single-flight fitness memo: it profiles each
+// distinct candidate input once and answers every repeat — including one
+// that arrives while the first run is still in flight — with the recorded
+// (fitness, dyn). Fitness is a deterministic function of the encoded
+// argument words, so the words are the key and a hit is bit-identical to a
+// rerun. parallel.Memo computes each key exactly once whichever caller gets
+// there first, so which inputs execute, and what they cost, is independent
+// of scheduling. Safe for concurrent use; unbounded, so it lives for one
+// search.
+type candidateMemo struct {
+	b           *prog.Benchmark
+	fe          *FitnessEval
+	memo        parallel.Memo[candidateRun]
+	executedDyn atomic.Int64
+}
+
+// eval returns input's fitness and its run length, profiling the input only
+// if no earlier call has.
+func (m *candidateMemo) eval(input []float64) (float64, int64) {
+	words := m.b.Encode(input)
+	key := make([]byte, 0, 8*len(words))
+	for _, w := range words {
+		key = binary.LittleEndian.AppendUint64(key, w)
+	}
+	r, _ := m.memo.Get(string(key), func() (candidateRun, error) {
+		f, dyn := m.fe.Eval(input)
+		m.executedDyn.Add(dyn)
+		return candidateRun{fitness: f, dyn: dyn}, nil
+	})
+	return r.fitness, r.dyn
+}
+
+// executions is the number of profiled runs the memo has made: one per
+// distinct input.
+func (m *candidateMemo) executions() int { return int(m.memo.Stats().Misses) }

@@ -114,15 +114,34 @@ func renderEnginePins(t *testing.T, name string) string {
 	if err != nil {
 		t.Fatalf("%s: search: %v", name, err)
 	}
-	line("search best=%s final=%+v", floatBits(res.BestInput), res.Final)
+	line("search best=%s final=%+v evals=%d searchdyn=%d history=%016x",
+		floatBits(res.BestInput), res.Final, res.Evaluations, res.Cost.SearchDyn, hashHistory(res))
 	return sb.String()
+}
+
+// hashHistory folds a search's per-generation FitnessHistory bits and
+// charged SearchDynHistory into one FNV-1a digest.
+func hashHistory(res *Result) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, f := range res.FitnessHistory {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
+		h.Write(buf[:])
+	}
+	for _, d := range res.SearchDynHistory {
+		binary.LittleEndian.PutUint64(buf[:], uint64(d))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
 }
 
 // TestEnginePins reproduces, byte for byte, outputs recorded for all ten
 // kernels: golden DynCount and output/count digests, Overall (200 trials,
 // seed 1), PerInstruction (8 ids × 10 static-plan trials),
 // OverallParallel at batch 64 and on an uncheckpointed golden, and a
-// three-generation Search at seed 2026.
+// three-generation Search at seed 2026: its best input, closing campaign,
+// evaluation count, charged search cost and a digest of its fitness and
+// cost histories.
 func TestEnginePins(t *testing.T) {
 	want, err := os.ReadFile(enginePinsFile)
 	if err != nil {

@@ -219,12 +219,18 @@ type Result struct {
 	Checkpoints []Checkpoint
 	// FitnessHistory records the best fitness after each generation.
 	FitnessHistory []float64
-	// SearchDynHistory records the cumulative GA-search dynamic-instruction
-	// cost after each generation — the basis for giving the baseline an
-	// equal budget at any generation cut-off (Figures 5, 7, 8).
+	// SearchDynHistory records the cumulative charged GA-search
+	// dynamic-instruction cost after each generation — the basis for giving
+	// the baseline an equal budget at any generation cut-off (Figures 5, 7,
+	// 8).
 	SearchDynHistory []int64
-	// Evaluations counts candidate executions during the GA search.
+	// Evaluations counts the GA's candidate evaluations, each charged one
+	// profiled run (Cost.SearchDyn). Repeated inputs are answered from the
+	// search's fitness memo, so it is not a count of executions.
 	Evaluations int
+	// Executions counts the profiled runs the GA actually made: one per
+	// distinct candidate input (Cost.SearchExecutedDyn).
+	Executions int
 	// ComposeStats, under Options.Compose, records the profile cache's
 	// effectiveness over the whole search (hits, misses, re-measurements,
 	// measurement spend); nil otherwise.
@@ -357,11 +363,13 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 	endPhase = tr.Phase("search")
 	// Candidates of one generation are evaluated concurrently; the cost
 	// accumulator is atomic and integer, so its per-generation totals are
-	// independent of evaluation order.
+	// independent of evaluation order. Every candidate is charged its run
+	// length — the paper's one profiled run per candidate — but an input
+	// the search has already run is answered from the memo, not rerun.
 	var searchDyn atomic.Int64
-	fe := NewFitnessEval(b, dist.Scores)
+	memo := &candidateMemo{b: b, fe: NewFitnessEval(b, dist.Scores)}
 	fitness := func(g ga.Genome) float64 {
-		f, dyn := fe.Eval(g)
+		f, dyn := memo.eval(g)
 		searchDyn.Add(dyn)
 		return f
 	}
@@ -447,8 +455,10 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 	res.BestInput = best.Genome
 	res.BestFitness = best.Fitness
 	res.Evaluations = engine.Evaluations
+	res.Executions = memo.executions()
 	res.Cost.SearchTime = time.Since(t0)
 	res.Cost.SearchDyn = searchDyn.Load()
+	res.Cost.SearchExecutedDyn = memo.executedDyn.Load()
 	endPhase()
 
 	// Closing statistical FI campaign on the reported SDC-bound input.

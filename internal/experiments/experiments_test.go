@@ -363,6 +363,26 @@ func TestTable6(t *testing.T) {
 	_ = r.Render()
 }
 
+// TestPaperRatiosRenderWithoutNaN: kernels with no published Table 5 or
+// Table 6 figures render "–" in the paper column, never NaN.
+func TestPaperRatiosRenderWithoutNaN(t *testing.T) {
+	t5, t6 := &Table5Result{}, &Table6Result{}
+	for _, name := range prog.Names() {
+		t5.Rows = append(t5.Rows, Table5Row{Bench: name,
+			PaperWithHrs: paperTable5With[name], PaperWithoutHrs: paperTable5Without[name]})
+		t6.Rows = append(t6.Rows, Table6Row{Bench: name,
+			PaperPeppaSec: paperTable6Peppa[name], PaperBaselineSec: paperTable6Baseline[name]})
+	}
+	for _, out := range []string{t5.Render(), t6.Render()} {
+		if strings.Contains(out, "NaN") {
+			t.Errorf("rendered table contains NaN:\n%s", out)
+		}
+		if !strings.Contains(out, "–") {
+			t.Errorf("no kernel without a paper figure rendered \"–\":\n%s", out)
+		}
+	}
+}
+
 func TestFigure9(t *testing.T) {
 	s := quickSuite(t, "pathfinder")
 	r, err := Figure9(s)

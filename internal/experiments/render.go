@@ -43,6 +43,15 @@ func renderTable(header []string, rows [][]string) string {
 // pct formats a probability as a percentage.
 func pct(p float64) string { return fmt.Sprintf("%.2f%%", p*100) }
 
+// paperRatio formats the ratio of two published figures, or "–" when the
+// paper has no figure for the benchmark (a zero would print NaN).
+func paperRatio(format string, num, den float64) string {
+	if num == 0 || den == 0 {
+		return "–"
+	}
+	return fmt.Sprintf(format, num/den)
+}
+
 // f2 formats a float with two decimals.
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 

@@ -83,13 +83,12 @@ func Table5(s *Suite) (*Table5Result, error) {
 func (r *Table5Result) Render() string {
 	var rows [][]string
 	for _, row := range r.Rows {
-		paperSpeedup := row.PaperWithoutHrs / row.PaperWithHrs
 		rows = append(rows, []string{
 			row.Bench,
 			fmt.Sprintf("%.1fM", float64(row.WithDyn)/1e6),
 			fmt.Sprintf("%.1fM", float64(row.WithoutDyn)/1e6),
 			fmt.Sprintf("%.1fx", row.Speedup),
-			fmt.Sprintf("%.1fx", paperSpeedup),
+			paperRatio("%.1fx", row.PaperWithoutHrs, row.PaperWithHrs),
 		})
 	}
 	var sb strings.Builder

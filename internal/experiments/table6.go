@@ -67,13 +67,12 @@ func Table6(s *Suite) (*Table6Result, error) {
 func (r *Table6Result) Render() string {
 	var rows [][]string
 	for _, row := range r.Rows {
-		paperRatio := row.PaperBaselineSec / row.PaperPeppaSec
 		rows = append(rows, []string{
 			row.Bench,
 			fmt.Sprintf("%.2fms", float64(row.PeppaTime.Microseconds())/1000),
 			fmt.Sprintf("%.0fms", float64(row.BaselineTime.Microseconds())/1000),
 			fmt.Sprintf("%.0fx", row.Ratio),
-			fmt.Sprintf("%.0fx", paperRatio),
+			paperRatio("%.0fx", row.PaperBaselineSec, row.PaperPeppaSec),
 		})
 	}
 	var sb strings.Builder

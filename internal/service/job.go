@@ -27,7 +27,10 @@ const (
 	KindSearch      = "search"
 )
 
-// JobSpec is the submitted description of one job.
+// JobSpec is the submitted description of one job. Admission rejects, with
+// a 400 naming the field, an input that does not match the benchmark's
+// argument specs and a negative count (trials, trials_per_rep, generations,
+// pop_size, shards, workers, batch); zero counts take their defaults.
 type JobSpec struct {
 	// Kind selects the executor: "campaign" (whole-program FI, flat or
 	// adaptive), "sensitivity" (compositional per-segment estimate), or
@@ -35,8 +38,9 @@ type JobSpec struct {
 	Kind string `json:"kind"`
 	// Bench names the benchmark (prog.Names()).
 	Bench string `json:"bench"`
-	// Input is the raw input vector (default: the reference input).
-	// Ignored by search jobs, which find their own input.
+	// Input is the raw input vector (default: the reference input): one
+	// finite value per argument, inside the argument's [Min, Max]. Ignored
+	// by search jobs, which find their own input.
 	Input []float64 `json:"input,omitempty"`
 	// Trials sizes the campaign (default 1000); for adaptive campaigns it
 	// is the spend cap, for sensitivity jobs the profile-pass budget.

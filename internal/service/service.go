@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -295,7 +296,9 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	ew.result(id, time.Since(start), res)
 }
 
-// normalize validates a spec and fills server-side defaults.
+// normalize validates a spec and fills server-side defaults. Every
+// rejection names the offending JobSpec field, and happens here, before the
+// job touches the shared caches.
 func (s *Server) normalize(spec *JobSpec) error {
 	switch spec.Kind {
 	case KindCampaign, KindSensitivity, KindSearch:
@@ -309,13 +312,30 @@ func (s *Server) normalize(spec *JobSpec) error {
 		sort.Strings(known)
 		return fmt.Errorf("unknown benchmark %q (known: %v)", spec.Bench, known)
 	}
-	if spec.Kind != KindSearch && len(spec.Input) == 0 {
-		spec.Input = prog.Build(spec.Bench).RefInput()
+	b := s.cache.bench(spec.Bench).b
+	if len(spec.Input) > 0 {
+		if err := validateInput(b, spec.Input); err != nil {
+			return err
+		}
+	} else if spec.Kind != KindSearch {
+		spec.Input = b.RefInput()
 	}
-	if spec.Trials <= 0 {
+	for _, c := range []struct {
+		field string
+		v     int
+	}{
+		{"trials", spec.Trials}, {"trials_per_rep", spec.TrialsPerRep},
+		{"generations", spec.Generations}, {"pop_size", spec.PopSize},
+		{"shards", spec.Shards}, {"workers", spec.Workers}, {"batch", spec.Batch},
+	} {
+		if c.v < 0 {
+			return fmt.Errorf("%s: must not be negative, got %d", c.field, c.v)
+		}
+	}
+	if spec.Trials == 0 {
 		spec.Trials = DefaultTrials
 	}
-	if spec.Shards <= 0 {
+	if spec.Shards == 0 {
 		spec.Shards = s.cfg.Shards
 	}
 	if spec.FaultModel == "" {
@@ -326,6 +346,20 @@ func (s *Server) normalize(spec *JobSpec) error {
 	}
 	if (spec.Adaptive || spec.CITarget > 0) && fault.ModelKey(spec.FaultModel) != fault.DefaultModelName {
 		return fmt.Errorf("adaptive campaigns support only the default fault model, got %q", spec.FaultModel)
+	}
+	return nil
+}
+
+// validateInput checks an input vector against the benchmark's argument
+// specs: one finite value per argument, each inside its [Min, Max].
+func validateInput(b *prog.Benchmark, input []float64) error {
+	if len(input) != len(b.Args) {
+		return fmt.Errorf("input: %s takes %d arguments, got %d", b.Name, len(b.Args), len(input))
+	}
+	for i, v := range input {
+		if a := b.Args[i]; math.IsNaN(v) || math.IsInf(v, 0) || v < a.Min || v > a.Max {
+			return fmt.Errorf("input[%d] (%s): %v is not inside [%v, %v]", i, a.Name, v, a.Min, a.Max)
+		}
 	}
 	return nil
 }

@@ -2,6 +2,9 @@ package service
 
 import (
 	"context"
+	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +14,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/prog"
+	"repro/internal/xrand"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -292,7 +296,7 @@ func TestServiceWorkerOnlyRejectsJobs(t *testing.T) {
 // TestServiceValidation: bad specs are rejected at admission with 400, not
 // mid-stream.
 func TestServiceValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	cl := &Client{Base: ts.URL}
 	for _, spec := range []*JobSpec{
 		{Kind: "juggle", Bench: "pathfinder"},
@@ -300,6 +304,63 @@ func TestServiceValidation(t *testing.T) {
 	} {
 		if _, err := cl.Submit(context.Background(), spec); err == nil {
 			t.Fatalf("spec %+v was accepted", spec)
+		}
+	}
+
+	// Malformed inputs and negative counts are refused with a 400 naming
+	// the field, before the job reaches the golden cache.
+	for _, c := range []struct{ body, field string }{
+		{`{"bench":"pathfinder","input":[1,2]}`, "input"},
+		{`{"bench":"pathfinder","input":[20,20,7,1e300]}`, "input[3]"},
+		{`{"bench":"pathfinder","input":[-5,20,7,10]}`, "input[0]"},
+		{`{"bench":"pathfinder","trials":-3}`, "trials"},
+		{`{"kind":"search","bench":"needle","trials_per_rep":-1}`, "trials_per_rep"},
+		{`{"kind":"search","bench":"needle","generations":-1}`, "generations"},
+		{`{"kind":"search","bench":"needle","pop_size":-1}`, "pop_size"},
+		{`{"bench":"needle","shards":-2}`, "shards"},
+		{`{"bench":"needle","workers":-1}`, "workers"},
+		{`{"bench":"needle","batch":-8}`, "batch"},
+	} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		named := strings.HasPrefix(string(msg), c.field+" ") || strings.HasPrefix(string(msg), c.field+":")
+		if resp.StatusCode != http.StatusBadRequest || !named {
+			t.Errorf("%s: status %d, body %q; want 400 naming %q", c.body, resp.StatusCode, msg, c.field)
+		}
+	}
+	// JSON cannot carry non-finite numbers, but in-process specs can.
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		spec := JobSpec{Bench: "pathfinder", Input: []float64{20, v, 7, 10}}
+		if err := s.normalize(&spec); err == nil || !strings.HasPrefix(err.Error(), "input[1] ") {
+			t.Errorf("input with %v: err %v, want one naming input[1]", v, err)
+		}
+	}
+}
+
+// TestServiceValidationAcceptsValidInputs: every kernel's reference input
+// and a draw from its widened small range — the two ways perfbench builds
+// job inputs — pass admission after a JSON round trip.
+func TestServiceValidationAcceptsValidInputs(t *testing.T) {
+	s := New(Config{})
+	rng := xrand.New(11)
+	for _, name := range prog.Names() {
+		b := prog.Build(name)
+		for _, in := range [][]float64{b.RefInput(), b.RandomInputScaled(rng, 0.3)} {
+			body, err := json.Marshal(&JobSpec{Bench: name, Input: in})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var spec JobSpec
+			if err := json.Unmarshal(body, &spec); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.normalize(&spec); err != nil {
+				t.Errorf("%s input %v rejected: %v", name, in, err)
+			}
 		}
 	}
 }
