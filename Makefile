@@ -22,9 +22,10 @@ test-short:
 
 # Race-detect the internal packages; -short skips the FI-heavy validity
 # tests but keeps every parallel-layer test (worker-count equivalence, the
-# shared-RNG tripwire) and the batch/checkpoint suite — lockstep batching
-# forks trials off shared copy-on-write snapshot pages concurrently, so the
-# Batch|Checkpoint|RunFrom|Snapshot tests must stay inside the race scope.
+# shared-RNG tripwire) and the checkpoint/injector suite — campaign workers
+# restore their reused Injectors from shared copy-on-write snapshot pages
+# concurrently, so the Checkpoint|RunFrom|Snapshot|Injector tests must stay
+# inside the race scope.
 race:
 	$(GO) test -race -short ./internal/...
 
@@ -36,20 +37,24 @@ bench-smoke:
 bench-workers:
 	$(GO) test -bench=Workers -benchtime=3x -run='^$$' .
 
-# Checkpointed-execution equivalence gate: every resumed FI trial — every
-# lockstep-batched one, and every trial of a reused Injector — must be
-# bit-identical to a from-scratch one, at the interpreter, campaign and
-# parallel layers; the Injector tests also gate the serial trial path's
-# steady-state allocations.
+# Checkpointed-execution equivalence gate: every resumed FI trial, and
+# every trial of a reused Injector, must be bit-identical to a from-scratch
+# one, at the interpreter, campaign and parallel layers; the Injector tests
+# also gate the serial trial path's steady-state allocations. The gate
+# fails if the regex stops matching any test in either package (go test
+# would otherwise report "no tests to run" and pass).
 test-checkpoint:
-	$(GO) test -count=1 -run 'Batch|Checkpoint|RunFrom|Snapshot|Injector' \
-		./internal/interp ./internal/campaign
+	@re='Checkpoint|RunFrom|Snapshot|Injector'; \
+	for pkg in ./internal/interp ./internal/campaign; do \
+		$(GO) test -list "$$re" $$pkg | grep -q '^Test' || \
+			{ echo "test-checkpoint: no test in $$pkg matches $$re"; exit 1; }; \
+	done; \
+	$(GO) test -count=1 -run "$$re" ./internal/interp ./internal/campaign
 
-# Measure golden-run and 1000-trial campaign throughput — from scratch,
-# resuming per-trial from golden-prefix snapshots, and in lockstep batches
-# forked off a shared trunk — and render the machine-readable BENCH_fi.json
-# artifact (per-benchmark ns/op, dyn/op, skipped/op, the
-# scratch/checkpointed campaign speedup and the checkpointed/batched one).
+# Measure golden-run and 1000-trial campaign throughput — from scratch and
+# resuming per-trial from golden-prefix snapshots — and render the
+# machine-readable BENCH_fi.json artifact (per-benchmark ns/op, dyn/op,
+# skipped/op and the scratch/checkpointed campaign speedup).
 bench-fi:
 	$(GO) test -run='^$$' -bench='Benchmark(Overall|Golden)' -benchtime=3x \
 		./internal/interp | tee BENCH_fi.txt
@@ -107,8 +112,8 @@ bench-fitness:
 # Adaptive stratified FI gate, in two parts: (1) the adaptive-vs-full
 # equivalence suite — on >=5/7 benchmarks the composed stratified estimate
 # must land inside the full 1000-trial campaign's Wilson interval while
-# spending >=30% fewer trials — plus worker/batch invariance (bit-identical
-# results at workers 1/4 and batch sizes 1/8/64) and the Wilson-interval
+# spending >=30% fewer trials — plus worker invariance (bit-identical
+# results at workers 1/4) and the Wilson-interval
 # property tests; (2) the core/experiments threading tests (adaptive final
 # campaign, adaptive baseline, rejection bound).
 test-adaptive:
@@ -118,7 +123,7 @@ test-adaptive:
 # Compositional-estimation gate, in two parts: (1) the compose test suite —
 # partition coverage, cache reuse/staleness, the 7-benchmark equivalence
 # check (composed estimate inside the direct campaign's 95% Wilson
-# interval) and exact-reuse bit-identity at workers 1/4 × batch 1/8/64 —
+# interval) and exact-reuse bit-identity at workers 1/4 —
 # plus the sensitivity/core/experiments threading tests and the benchjson
 # compose_speedup tests; (2) end-to-end trace determinism — the same
 # fi -compose run at 1 and 4 workers must write byte-identical JSONL.
@@ -128,9 +133,9 @@ test-compose:
 		./internal/experiments ./cmd/benchjson
 	$(GO) build -o bin/fi ./cmd/fi
 	./bin/fi -bench needle -trials 300 -compose -seed 7 -parallel 1 \
-		-batch 8 -trace compose-w1.jsonl > /dev/null
+		-trace compose-w1.jsonl > /dev/null
 	./bin/fi -bench needle -trials 300 -compose -seed 7 -parallel 4 \
-		-batch 8 -trace compose-w4.jsonl > /dev/null
+		-trace compose-w4.jsonl > /dev/null
 	grep -c '"ev":"compose.profile"' compose-w1.jsonl > /dev/null
 	cmp compose-w1.jsonl compose-w4.jsonl
 	@echo "compose traces byte-identical across worker counts"
@@ -147,7 +152,7 @@ bench-compose:
 	@echo "wrote BENCH_compose.json"
 
 # Sharded-service gate: the shard/merge equivalence suite (bit-identical
-# tallies at shards 1/2/4 × workers 1/4 × batch 1/64 on all benchmarks, the
+# tallies at shards 1/2/4 × workers 1/4 on all benchmarks, the
 # adaptive sharded-runner equivalence, cancellation honesty), the peppaxd
 # service tests (campaign/adaptive/sensitivity jobs vs in-process,
 # single-flight golden cache, profile sharing, 429 backpressure, peer shard
@@ -162,7 +167,7 @@ test-service:
 # fuzzer must reach the 0.95×max coverage target in fewer evaluations than
 # the naive widening-range fuzzer on >= 5 benchmarks), the fault-model
 # registry/corruption tests, the determinism matrix (every model
-# bit-identical at workers 1/4 × batch 1/64 × shards 1/2; the default
+# bit-identical at workers 1/4 × shards 1/2; the default
 # single-flip path pinned byte-identical to the pre-interface behaviour),
 # and a bounded native-fuzzing run of the engine against the reference
 # interpreter on random verified modules (failing inputs land in
@@ -188,7 +193,7 @@ bench-shard:
 
 # End-to-end service gate: start a real peppaxd, submit the same campaign
 # over HTTP (sharded) and in-process, and require byte-identical fi output.
-# -checkpoint-interval -1 keeps both outputs summary-free (checkpoint/batch
+# -checkpoint-interval -1 keeps both outputs summary-free (checkpoint
 # summaries describe local execution state the remote renderer cannot see).
 # All artifacts (output pair, daemon log) land under $(E2E_DIR), inside the
 # gitignored bin/ tree, never at the repo root.

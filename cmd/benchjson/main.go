@@ -2,9 +2,8 @@
 // machine-readable JSON artifact: one record per benchmark (ns/op plus any
 // custom metrics such as dyn/op, skipped/op and allocs/op) and derived
 // speedup tables — for the BenchmarkOverall scratch/checkpointed pairs the
-// per-program campaign speedup of golden-prefix checkpointing, for the
-// checkpointed/batched pairs the additional speedup of lockstep batching
-// (both in BENCH_fi.json), for the BenchmarkFitnessProfile
+// per-program campaign speedup of golden-prefix checkpointing
+// (BENCH_fi.json), for the BenchmarkFitnessProfile
 // perinstr/fused pairs the per-program and geomean speedup of the fused
 // profiling fast path (BENCH_fitness.json), and for the
 // BenchmarkSensitivityCompose scratch/incremental pairs the dyn/op-based
@@ -53,11 +52,6 @@ type Report struct {
 	// OverallSpeedup maps each program benchmark to
 	// scratch ns/op ÷ checkpointed ns/op for BenchmarkOverall.
 	OverallSpeedup map[string]float64 `json:"overall_speedup,omitempty"`
-	// BatchSpeedup maps each program benchmark to
-	// checkpointed ns/op ÷ batched ns/op for BenchmarkOverall — the
-	// additional campaign speedup of lockstep batching over per-trial
-	// checkpointed execution.
-	BatchSpeedup map[string]float64 `json:"batch_speedup,omitempty"`
 	// FitnessSpeedup maps each program benchmark to perinstr ns/op ÷
 	// fused ns/op for BenchmarkFitnessProfile, plus a "geomean" entry —
 	// the speedup of the fused profiling fast path over a per-instruction
@@ -180,7 +174,6 @@ func compareReports(oldPath, newPath string, tolerance float64, out io.Writer) (
 		}
 	}
 	check("overall_speedup", oldRep.OverallSpeedup, newRep.OverallSpeedup)
-	check("batch_speedup", oldRep.BatchSpeedup, newRep.BatchSpeedup)
 	check("compose_speedup", oldRep.ComposeSpeedup, newRep.ComposeSpeedup)
 	check("shard_speedup", oldRep.ShardSpeedup, newRep.ShardSpeedup)
 	check("cache_elimination", oldRep.CacheElimination, newRep.CacheElimination)
@@ -229,7 +222,6 @@ func run(in io.Reader, out, errw io.Writer) error {
 		return fmt.Errorf("no benchmark lines on stdin")
 	}
 	rep.OverallSpeedup = speedups(rep.Benchmarks)
-	rep.BatchSpeedup = batchSpeedups(rep.Benchmarks)
 	rep.FitnessSpeedup = fitnessSpeedups(rep.Benchmarks, errw)
 	rep.ComposeSpeedup = composeSpeedups(rep.Benchmarks)
 	rep.ShardSpeedup = shardSpeedups(rep.Benchmarks)
@@ -358,12 +350,6 @@ func cacheEliminations(benches []Benchmark) map[string]float64 {
 // and reports their ns/op ratios.
 func speedups(benches []Benchmark) map[string]float64 {
 	return ratios(benches, "BenchmarkOverall/scratch/", "BenchmarkOverall/checkpointed/")
-}
-
-// batchSpeedups pairs BenchmarkOverall/checkpointed/<prog> with
-// .../batched/<prog> and reports their ns/op ratios.
-func batchSpeedups(benches []Benchmark) map[string]float64 {
-	return ratios(benches, "BenchmarkOverall/checkpointed/", "BenchmarkOverall/batched/")
 }
 
 // fitnessSpeedups pairs BenchmarkFitnessProfile/perinstr/<prog> with

@@ -134,30 +134,6 @@ func TestRunEmpty(t *testing.T) {
 	}
 }
 
-const batchedSample = `goos: linux
-BenchmarkOverall/scratch/pathfinder-8       	2	165783610 ns/op
-BenchmarkOverall/checkpointed/pathfinder-8  	2	 74611850 ns/op
-BenchmarkOverall/batched/pathfinder-8       	2	 37305925 ns/op
-PASS
-`
-
-func TestRunBatchSpeedup(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if err := run(strings.NewReader(batchedSample), &out, &errOut); err != nil {
-		t.Fatal(err)
-	}
-	var rep Report
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, out.String())
-	}
-	if got := rep.BatchSpeedup["pathfinder"]; got != 2 {
-		t.Fatalf("pathfinder batch speedup = %v, want 2", got)
-	}
-	if got := rep.OverallSpeedup["pathfinder"]; got < 2.2 || got > 2.23 {
-		t.Fatalf("pathfinder overall speedup = %v, want ~2.22", got)
-	}
-}
-
 // The compose speedup must come from the dyn/op metric, not ns/op: dyn/op
 // is deterministic, so the committed ratio is host-independent.
 const composeSample = `goos: linux
@@ -274,10 +250,8 @@ func runCompare(t *testing.T, oldRep, newRep Report, extra ...string) (int, stri
 }
 
 func TestComparePass(t *testing.T) {
-	oldRep := Report{OverallSpeedup: map[string]float64{"pathfinder": 2.2, "hpccg": 1.8},
-		BatchSpeedup: map[string]float64{"pathfinder": 1.9}}
-	newRep := Report{OverallSpeedup: map[string]float64{"pathfinder": 2.0, "hpccg": 1.9},
-		BatchSpeedup: map[string]float64{"pathfinder": 1.8}}
+	oldRep := Report{OverallSpeedup: map[string]float64{"pathfinder": 2.2, "hpccg": 1.8}}
+	newRep := Report{OverallSpeedup: map[string]float64{"pathfinder": 2.0, "hpccg": 1.9}}
 	code, log := runCompare(t, oldRep, newRep)
 	if code != 0 {
 		t.Fatalf("within-tolerance compare exited %d:\n%s", code, log)

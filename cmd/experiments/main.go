@@ -60,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		metricsAddr = fs.String("metrics-addr", "", "serve live Prometheus metrics on this address (e.g. 127.0.0.1:9464) at /metrics, with /healthz liveness")
 		heatTopK    = fs.Int("heat-topk", 0, "per-instruction heat events in the trace carry this many instructions (0 = default 10, negative disables)")
 		ckptIval    = fs.Int64("checkpoint-interval", 0, "golden-prefix snapshot spacing for FI campaigns, in dynamic instructions (0 = auto, -1 = disable; reports are identical either way)")
-		batch       = fs.Int("batch", 0, "lockstep batch size for FI campaigns: trials sharing a checkpoint run as one batch (0 = per-trial; search campaigns switch to per-trial RNG streams when batched)")
 		adaptive    = fs.Bool("adaptive", false, "adaptive stratified FI for search finals and baseline candidates: stop each campaign once its composed 95% CI half-width falls below -ci-target")
 		ciTarget    = fs.Float64("ci-target", 0, "95% CI half-width target for -adaptive (0 = default 0.035; setting this implies -adaptive)")
 		composeMode = fs.Bool("compose", false, "compositional SDC estimation for the suite's searches and baselines: per-segment profiles measured once per benchmark, cached suite-wide, composed under each input's dynamic mix")
@@ -97,7 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cfg.Workers = *workers
 	cfg.CheckpointInterval = *ckptIval
-	cfg.BatchSize = *batch
 	cfg.HeatTopK = *heatTopK
 	if *adaptive || *ciTarget > 0 {
 		cfg.CITarget = *ciTarget

@@ -73,7 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		metricsAddr = fs.String("metrics-addr", "", "serve live Prometheus metrics on this address (e.g. 127.0.0.1:9464) at /metrics, with /healthz liveness")
 		heatTopK    = fs.Int("heat-topk", 0, "per-instruction heat events in the trace carry this many instructions (0 = default 10, negative disables; -perinstr mode)")
 		ckptIval    = fs.Int64("checkpoint-interval", 0, "golden-prefix snapshot spacing in dynamic instructions (0 = auto, -1 = disable)")
-		batch       = fs.Int("batch", 0, "lockstep batch size: run trials sharing a checkpoint as one batch with a shared trunk replay (0 = per-trial; implies per-trial RNG streams like -parallel)")
 		adaptive    = fs.Bool("adaptive", false, "adaptive stratified campaign: stop once the composed 95% CI half-width falls below -ci-target; -trials becomes the spend cap")
 		ciTarget    = fs.Float64("ci-target", 0, "95% CI half-width target for -adaptive (0 = default 0.035; setting this implies -adaptive)")
 		composeMode = fs.Bool("compose", false, "compositional estimate: measure per-segment SDC profiles once, compose them under the input's dynamic mix, and compare against a direct -trials campaign")
@@ -179,7 +178,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Seed:               *seed,
 			FaultModel:         *faultModel,
 			Workers:            *workers,
-			Batch:              *batch,
 			Shards:             *shards,
 			CheckpointInterval: *ckptIval,
 			Adaptive:           *adaptive,
@@ -207,11 +205,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *perInstr {
 		ids := campaign.AllInstructionIDs(b.Prog)
 		var results []campaign.InstrResult
-		if *batch > 0 || *workers >= 1 {
+		if *workers >= 1 {
 			// The parallel runner seeds each instruction's stream from its
-			// ID, so tallies are identical for any -parallel and -batch.
+			// ID, so tallies are identical for any -parallel.
 			results = campaign.PerInstructionParallel(b.Prog, g, ids, *trials, campaign.ParallelOptions{
-				Workers: *workers, Seed: *seed, BatchSize: *batch,
+				Workers: *workers, Seed: *seed,
 			})
 		} else {
 			results = campaign.PerInstruction(b.Prog, g, ids, *trials, rng)
@@ -237,9 +235,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				scores, g.InstrCounts, g.DynCount, *heatTopK)
 		}
 		campaign.EmitCheckpointTelemetry(tr, "fi.checkpoints", g.CheckpointStats())
-		campaign.EmitBatchTelemetry(tr, "fi.batch", g.CheckpointStats(), *batch)
 		printCheckpointSummary(stdout, g)
-		printBatchSummary(stdout, g)
 		sort.Slice(results, func(a, c int) bool {
 			return results[a].Counts.SDCProbability() > results[c].Counts.SDCProbability()
 		})
@@ -264,7 +260,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Trials:    *trials,
 			Threshold: *composeThr,
 			Workers:   *workers,
-			BatchSize: *batch,
 			Seed:      *seed,
 			Model:     model,
 			Trace:     tr,
@@ -276,7 +271,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// composed estimate should land inside this interval (the
 		// equivalence contract).
 		direct := campaign.OverallParallel(b.Prog, g, *trials, campaign.ParallelOptions{
-			Workers: *workers, Seed: *seed, BatchSize: *batch, Model: model,
+			Workers: *workers, Seed: *seed, Model: model,
 		})
 		tr.Advance(direct.DynInstrs)
 		dLo, dHi := direct.SDCInterval()
@@ -292,9 +287,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			telemetry.F("direct_lo", dLo),
 			telemetry.F("direct_hi", dHi))
 		campaign.EmitCheckpointTelemetry(tr, "fi.checkpoints", g.CheckpointStats())
-		campaign.EmitBatchTelemetry(tr, "fi.batch", g.CheckpointStats(), *batch)
 		printCheckpointSummary(stdout, g)
-		printBatchSummary(stdout, g)
 		fmt.Fprintf(stdout, "compositional estimate over %d %s segments (%d profile trials):\n",
 			len(part.Segments), part.Granularity, est.MeasureTrials)
 		fmt.Fprintf(stdout, "%-22s %-8s %-10s %-20s %-8s %s\n", "Segment", "Weight", "SDC", "95% CI", "Trials", "Source")
@@ -320,7 +313,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ar := campaign.OverallAdaptive(b.Prog, g, campaign.AdaptiveOptions{
 			Workers:   *workers,
 			Seed:      *seed,
-			BatchSize: *batch,
 			CITarget:  *ciTarget,
 			MaxTrials: *trials,
 			Runner:    campaign.ShardedRunner(*shards),
@@ -328,9 +320,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tr.Advance(ar.Counts.DynInstrs)
 		campaign.EmitAdaptiveTelemetry(tr, "fi.adaptive", ar)
 		campaign.EmitCheckpointTelemetry(tr, "fi.checkpoints", g.CheckpointStats())
-		campaign.EmitBatchTelemetry(tr, "fi.batch", g.CheckpointStats(), *batch)
 		printCheckpointSummary(stdout, g)
-		printBatchSummary(stdout, g)
 		c := ar.Counts
 		fmt.Fprintf(stdout, "%d adaptive stratified fault-injection trials (%d strata, %d converged, %d rounds, %d/%d trials saved):\n",
 			c.Trials, len(ar.Strata), ar.StrataConverged(), ar.Rounds, ar.TrialsSaved(), ar.MaxTrials)
@@ -343,13 +333,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var c campaign.Counts
 	desc := modelDesc(*faultModel)
-	if *workers >= 1 || *batch > 0 || *shards > 1 {
+	if *workers >= 1 || *shards > 1 {
 		// Per-trial RNG streams derived from (seed, global trial index): the
-		// tally and the trace are identical for every worker count ≥ 1,
-		// every -batch size (batched trials keep their private streams), and
+		// tally and the trace are identical for every worker count ≥ 1 and
 		// every -shards count (shards own contiguous trial-index ranges).
 		c = campaign.OverallSharded(b.Prog, g, *trials, *shards, campaign.ParallelOptions{
-			Workers: *workers, Seed: *seed, BatchSize: *batch, Model: model,
+			Workers: *workers, Seed: *seed, Model: model,
 		})
 	} else {
 		// Serial shared-stream campaign. The double-flip model's plans are
@@ -362,9 +351,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		telemetry.F("model", desc),
 	}, c.Fields()...)...)
 	campaign.EmitCheckpointTelemetry(tr, "fi.checkpoints", g.CheckpointStats())
-	campaign.EmitBatchTelemetry(tr, "fi.batch", g.CheckpointStats(), *batch)
 	printCheckpointSummary(stdout, g)
-	printBatchSummary(stdout, g)
 	lo, hi := c.SDCInterval()
 	fmt.Fprintf(stdout, "%d fault-injection trials (%s in random dynamic instruction results):\n", c.Trials, desc)
 	fmt.Fprintf(stdout, "  SDC:    %4d  (%.2f%%, 95%% CI [%.2f%%, %.2f%%])\n", c.SDC, c.SDCProbability()*100, lo*100, hi*100)
@@ -415,17 +402,6 @@ func printCheckpointSummary(w io.Writer, g *campaign.Golden) {
 	}
 	fmt.Fprintf(w, "checkpoints: %d snapshots every %d dynamic instructions; %d/%d trials resumed, %d prefix instructions skipped\n\n",
 		st.Snapshots, st.Interval, st.Restored, st.Restored+st.Scratch, st.SkippedDyn)
-}
-
-// printBatchSummary reports lockstep batch usage; silent when no batches
-// ran (per-trial mode, or -batch without checkpoints to group on).
-func printBatchSummary(w io.Writer, g *campaign.Golden) {
-	st := g.CheckpointStats()
-	if st.Batches == 0 {
-		return
-	}
-	fmt.Fprintf(w, "batches: %d trials in %d lockstep batches, %d shared trunk instructions executed once per batch\n\n",
-		st.BatchedTrials, st.Batches, st.TrunkDyn)
 }
 
 // modelDesc renders a fault-model name for campaign output lines.

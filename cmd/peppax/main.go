@@ -82,7 +82,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		metricsAddr = fs.String("metrics-addr", "", "serve live Prometheus metrics on this address (e.g. 127.0.0.1:9464) at /metrics, with /healthz liveness")
 		heatTopK    = fs.Int("heat-topk", 0, "per-instruction heat events in the trace carry this many instructions (0 = default 10, negative disables)")
 		ckptIval    = fs.Int64("checkpoint-interval", 0, "golden-prefix snapshot spacing for FI campaigns, in dynamic instructions (0 = auto, -1 = disable; results are identical either way)")
-		batch       = fs.Int("batch", 0, "lockstep batch size for FI campaigns: trials sharing a checkpoint run as one batch (0 = per-trial; switches campaigns to per-trial RNG streams, see core.Options.BatchSize)")
 		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProfile  = fs.String("memprofile", "", "write an end-of-run heap profile to this file (go tool pprof)")
 		adaptive    = fs.Bool("adaptive", false, "adaptive stratified FI for the final measurement (and -baseline candidates): stop once the composed 95% CI half-width falls below -ci-target; -trials becomes the spend cap")
@@ -199,7 +198,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts.TrialsPerRep = *trialsRep
 	opts.Workers = *workers
 	opts.CheckpointInterval = *ckptIval
-	opts.BatchSize = *batch
 	opts.HeatTopK = *heatTopK
 	opts.Model = model
 	opts.Trace = rec.Stream("search/" + b.Name)
@@ -276,7 +274,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			TrialsPerInput:   *trials,
 			DynBudget:        res.Cost.TotalDyn(),
 			Workers:          *workers,
-			BatchSize:        *batch,
 			HeatTopK:         *heatTopK,
 			CITarget:         opts.CITarget,
 			Compose:          opts.Compose,

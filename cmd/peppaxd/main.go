@@ -33,6 +33,12 @@ import (
 	"repro/internal/telemetry"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so idle or trickling connections cannot pin server goroutines.
+// Job bodies are capped separately (service request-size limit) and job
+// runtime is bounded by the per-job token budget, not by a server timeout.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, nil))
 }
@@ -105,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	if err != nil {
 		return fail(err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	fmt.Fprintf(stderr, "peppaxd: listening on http://%s\n", ln.Addr())
 	if ready != nil {
 		ready <- ln.Addr().String()

@@ -30,11 +30,11 @@ func TestAdaptiveEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids := AllInstructionIDs(b.Prog)
-		profile := PerInstructionParallel(b.Prog, g, ids, 6, ParallelOptions{Workers: 4, Seed: 99, BatchSize: 32})
+		profile := PerInstructionParallel(b.Prog, g, ids, 6, ParallelOptions{Workers: 4, Seed: 99})
 		scores := PerInstructionVector(g.NumInstrs, profile)
-		full := OverallParallel(b.Prog, g, fullTrials, ParallelOptions{Workers: 4, Seed: 11, BatchSize: 32})
+		full := OverallParallel(b.Prog, g, fullTrials, ParallelOptions{Workers: 4, Seed: 11})
 		lo, hi := stats.WilsonInterval95(full.SDC, full.Trials)
-		res := OverallAdaptive(b.Prog, g, AdaptiveOptions{Workers: 4, Seed: 11, BatchSize: 32, MaxTrials: fullTrials, Scores: scores})
+		res := OverallAdaptive(b.Prog, g, AdaptiveOptions{Workers: 4, Seed: 11, MaxTrials: fullTrials, Scores: scores})
 		inInterval := res.Estimate >= lo && res.Estimate <= hi
 		savedEnough := res.Counts.Trials <= fullTrials*7/10
 		t.Logf("%s: full=%.4f [%.4f,%.4f] adaptive=%.4f [%.4f,%.4f] trials=%d/%d rounds=%d converged=%d/%d",
@@ -60,8 +60,8 @@ func TestAdaptiveEquivalence(t *testing.T) {
 
 // TestAdaptiveDeterminism: for a fixed seed the entire adaptive result —
 // every stratum tally, allocation history, and composed bound — must be
-// bit-identical across worker counts and batch sizes, including the serial
-// per-trial schedule.
+// bit-identical across worker counts, including the serial per-trial
+// schedule.
 func TestAdaptiveDeterminism(t *testing.T) {
 	maxTrials := 400
 	if testing.Short() {
@@ -83,14 +83,11 @@ func TestAdaptiveDeterminism(t *testing.T) {
 			refOpts.Workers = 1
 			ref := OverallAdaptive(b.Prog, g, refOpts)
 			for _, workers := range []int{1, 4} {
-				for _, batch := range []int{1, 8, 64} {
-					o := base
-					o.Workers = workers
-					o.BatchSize = batch
-					got := OverallAdaptive(b.Prog, g, o)
-					if !reflect.DeepEqual(got, ref) {
-						t.Fatalf("workers=%d batch=%d: adaptive result diverged from serial reference\ngot  %+v\nwant %+v", workers, batch, got, ref)
-					}
+				o := base
+				o.Workers = workers
+				got := OverallAdaptive(b.Prog, g, o)
+				if !reflect.DeepEqual(got, ref) {
+					t.Fatalf("workers=%d: adaptive result diverged from serial reference\ngot  %+v\nwant %+v", workers, got, ref)
 				}
 			}
 		})

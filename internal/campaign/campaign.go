@@ -242,26 +242,6 @@ func EmitCheckpointTelemetry(tr *telemetry.Stream, event string, st interp.Check
 		telemetry.F("skipped_dyn", st.SkippedDyn))
 }
 
-// EmitBatchTelemetry folds a lockstep-batching usage sample into a
-// telemetry stream: fi.batch.* recorder gauges (exported by /metrics as
-// peppax_fi_batch_*) plus one trace event. Every value derives from the
-// dyn clock and the deterministic trial grouping, so traces stay
-// byte-identical across worker counts. No-op when no batches ran.
-func EmitBatchTelemetry(tr *telemetry.Stream, event string, st interp.CheckpointStats, size int) {
-	if st.Batches == 0 {
-		return
-	}
-	tr.Gauge("fi.batch.size", int64(size))
-	tr.Gauge("fi.batch.batches", st.Batches)
-	tr.Gauge("fi.batch.trials", st.BatchedTrials)
-	tr.Gauge("fi.batch.trunk_dyn", st.TrunkDyn)
-	tr.Emit(event,
-		telemetry.F("size", size),
-		telemetry.F("batches", st.Batches),
-		telemetry.F("trials", st.BatchedTrials),
-		telemetry.F("trunk_dyn", st.TrunkDyn))
-}
-
 // Classify runs one faulty execution under plan and classifies it against
 // the golden run. The returned static ID is the instruction that received
 // the fault (-1 if the fault did not activate, which Classify reports as
@@ -284,39 +264,26 @@ func newInjector(p *interp.Program, g *Golden) *interp.Injector {
 // classify is Classify on a caller-held injector.
 func classify(inj *interp.Injector, g *Golden, plan *fault.Plan, rng *xrand.RNG, detector func(staticID int) bool) (Outcome, int, int64) {
 	r := inj.Run(g.Input, g.Checkpoints, plan, rng)
-	o, id := classifyResult(g, r, detector)
-	return o, id, r.DynCount
-}
-
-// classifyResult classifies an already-executed trial Result against the
-// golden — the decision half of Classify, shared with the lockstep batch
-// path, which classifies inside BatchRun's report callback (the Result's
-// buffers are only borrowed there).
-func classifyResult(g *Golden, r *interp.Result, detector func(staticID int) bool) (Outcome, int) {
-	if !r.Injected {
-		return Benign, -1
-	}
-	if r.DetectedFlag {
+	switch {
+	case !r.Injected:
+		return Benign, -1, r.DynCount
+	case r.DetectedFlag:
 		// The program's own duplication instrumentation (duplication pass)
 		// caught the corruption and fail-stopped.
-		return Detected, r.InjectedID
-	}
-	if detector != nil && detector(r.InjectedID) {
+		return Detected, r.InjectedID, r.DynCount
+	case detector != nil && detector(r.InjectedID):
 		// Selective instruction duplication compares the original and
 		// duplicated results at the protected instruction, detecting any
 		// corruption of its return value before it propagates.
-		return Detected, r.InjectedID
+		return Detected, r.InjectedID, r.DynCount
+	case r.Trap != nil:
+		return Crash, r.InjectedID, r.DynCount
+	case r.BudgetExceeded:
+		return Hang, r.InjectedID, r.DynCount
+	case !interp.OutputEqual(g.Output, r.Output):
+		return SDC, r.InjectedID, r.DynCount
 	}
-	if r.Trap != nil {
-		return Crash, r.InjectedID
-	}
-	if r.BudgetExceeded {
-		return Hang, r.InjectedID
-	}
-	if !interp.OutputEqual(g.Output, r.Output) {
-		return SDC, r.InjectedID
-	}
-	return Benign, r.InjectedID
+	return Benign, r.InjectedID, r.DynCount
 }
 
 // Counts aggregates trial outcomes.
@@ -394,14 +361,6 @@ func (c Counts) SDCProbability() float64 {
 	return float64(c.SDC) / float64(c.Trials)
 }
 
-// CI95 returns the 95% confidence half-width of the SDC probability.
-//
-// LEGACY SHIM: the Wilson interval this width comes from is centered on the
-// adjusted midpoint, not on SDCProbability, so SDCProbability ± CI95 is NOT
-// the interval (it goes negative at SDC=0). Use SDCInterval for report
-// sites; CI95 remains for width-only comparisons.
-func (c Counts) CI95() float64 { return stats.BinomialCI(c.SDC, c.Trials) }
-
 // SDCInterval returns the true 95% Wilson score bounds of the SDC
 // probability — the honest interval to report alongside SDCProbability.
 func (c Counts) SDCInterval() (lo, hi float64) {
@@ -420,21 +379,16 @@ func Overall(p *interp.Program, g *Golden, trials int, rng *xrand.RNG) Counts {
 // landing on static instructions for which detector returns true are
 // classified Detected (used by the §6 stress-test case study).
 func OverallProtected(p *interp.Program, g *Golden, trials int, rng *xrand.RNG, detector func(int) bool) Counts {
-	return OverallCtx(nil, p, g, trials, rng, detector)
+	return OverallModelCtx(nil, p, g, trials, rng, detector, nil)
 }
 
-// OverallCtx is OverallProtected with cooperative cancellation: once ctx is
-// canceled the loop stops at the next trial boundary and returns the tally
-// of the trials that completed (Counts.Trials says how many). A nil or
-// Background ctx costs one nil check per trial.
-func OverallCtx(ctx context.Context, p *interp.Program, g *Golden, trials int, rng *xrand.RNG, detector func(int) bool) Counts {
-	return OverallModelCtx(ctx, p, g, trials, rng, detector, nil)
-}
-
-// OverallModelCtx is OverallCtx with an explicit fault model. A nil model is
-// the single-bit-flip default and reproduces OverallCtx byte-for-byte; other
-// models draw each trial's plan (and its injection-time corruption) from the
-// same serial stream.
+// OverallModelCtx is OverallProtected with cooperative cancellation and an
+// explicit fault model. Once ctx is canceled the loop stops at the next
+// trial boundary and returns the tally of the trials that completed
+// (Counts.Trials says how many); a nil or Background ctx costs one nil
+// check per trial. A nil model is the single-bit-flip default and
+// reproduces OverallProtected byte-for-byte; other models draw each trial's
+// plan (and its injection-time corruption) from the same serial stream.
 func OverallModelCtx(ctx context.Context, p *interp.Program, g *Golden, trials int, rng *xrand.RNG, detector func(int) bool, m fault.Model) Counts {
 	var c Counts
 	inj := newInjector(p, g)
@@ -448,16 +402,6 @@ func OverallModelCtx(ctx context.Context, p *interp.Program, g *Golden, trials i
 		c.DynInstrs += dyn
 	}
 	return c
-}
-
-// ctxDone returns ctx's cancellation channel in the form the interp layer
-// polls; nil contexts and context.Background both yield a nil channel, which
-// BatchRun never selects on.
-func ctxDone(ctx context.Context) <-chan struct{} {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Done()
 }
 
 // ctxCanceled reports whether ctx is canceled, treating nil as "never".

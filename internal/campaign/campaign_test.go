@@ -163,8 +163,8 @@ func TestCountsBookkeeping(t *testing.T) {
 	if Counts.SDCProbability(Counts{}) != 0 {
 		t.Fatal("empty counts should give 0")
 	}
-	if c.CI95() <= 0 {
-		t.Fatal("CI should be positive")
+	if lo, hi := c.SDCInterval(); hi <= lo {
+		t.Fatalf("interval [%v, %v] should have positive width", lo, hi)
 	}
 }
 

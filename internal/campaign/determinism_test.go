@@ -13,7 +13,7 @@ import (
 // referenceTally classifies OverallParallel's per-trial plans on the
 // reference interpreter (internal/interp/interptest) instead of the engine,
 // with the same hang budget and the same classification order as
-// classifyResult (no detector).
+// classify (no detector).
 func referenceTally(p *interp.Program, g *Golden, trials int, seed uint64, m fault.Model) Counts {
 	var c Counts
 	budget := g.DynCount*hangBudgetMultiplier + hangBudgetSlack
@@ -47,7 +47,7 @@ func referenceTally(p *interp.Program, g *Golden, trials int, seed uint64, m fau
 // TestFaultModelDeterminismMatrix is the pluggable-fault-model determinism
 // gate: for every registered model, the flat campaign tally must be
 // bit-identical across the full execution matrix — workers {1, 4} ×
-// batch size {1, 64} × shards {1, 2} — because each trial's plan and
+// shards {1, 2} — because each trial's plan and
 // injection randomness derive from (Seed, global trial index) alone,
 // regardless of which model samples the plan — and equal to the tally of
 // the same plans classified on the reference interpreter.
@@ -75,14 +75,12 @@ func TestFaultModelDeterminismMatrix(t *testing.T) {
 				}
 				for _, shards := range []int{1, 2} {
 					for _, workers := range []int{1, 4} {
-						for _, batch := range []int{1, 64} {
-							got := OverallSharded(b.Prog, g, trials, shards, ParallelOptions{
-								Workers: workers, Seed: seed, BatchSize: batch, Model: m,
-							})
-							if got != ref {
-								t.Fatalf("shards=%d workers=%d batch=%d: %+v, want %+v",
-									shards, workers, batch, got, ref)
-							}
+						got := OverallSharded(b.Prog, g, trials, shards, ParallelOptions{
+							Workers: workers, Seed: seed, Model: m,
+						})
+						if got != ref {
+							t.Fatalf("shards=%d workers=%d: %+v, want %+v",
+								shards, workers, got, ref)
 						}
 					}
 				}
@@ -108,13 +106,13 @@ func TestDefaultModelMatchesHistoricalPath(t *testing.T) {
 	}
 	const seed = 31
 	legacy := OverallParallel(b.Prog, g, trials, ParallelOptions{Workers: 1, Seed: seed})
-	for _, cfg := range []struct{ workers, batch int }{{1, 1}, {4, 64}} {
+	for _, workers := range []int{1, 4} {
 		explicit := OverallParallel(b.Prog, g, trials, ParallelOptions{
-			Workers: cfg.workers, Seed: seed, BatchSize: cfg.batch, Model: fault.SingleFlip,
+			Workers: workers, Seed: seed, Model: fault.SingleFlip,
 		})
 		if explicit != legacy {
-			t.Fatalf("workers=%d batch=%d: explicit single-flip %+v != nil-model default %+v",
-				cfg.workers, cfg.batch, explicit, legacy)
+			t.Fatalf("workers=%d: explicit single-flip %+v != nil-model default %+v",
+				workers, explicit, legacy)
 		}
 	}
 	serialNil := OverallModelCtx(nil, b.Prog, g, trials, xrand.New(seed), nil, nil)

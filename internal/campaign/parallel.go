@@ -25,18 +25,14 @@ type ParallelOptions struct {
 	Seed uint64
 	// Detector optionally models protection (see OverallProtected).
 	Detector func(staticID int) bool
-	// BatchSize groups trials that resume from the same checkpoint into
-	// lockstep interp.BatchRun executions of at most this size, sharing one
-	// trunk replay per batch (<= 1 keeps the per-trial path). Trial plans
-	// and RNG streams are derived exactly as on the per-trial path, so
-	// results are bit-identical at every batch size and worker count.
+	// Deprecated: ignored. Every trial runs on a worker's reused
+	// interp.Injector; the field stays so existing callers still compile.
 	BatchSize int
 	// Ctx, when non-nil, cancels the campaign cooperatively: trials stop at
-	// the next trial (or checkpoint) boundary after cancellation and the
-	// runner returns the tally of the trials that completed. Completed
-	// trials keep their exact deterministic outcomes — cancellation only
-	// truncates, never perturbs. Nil (or context.Background) adds one nil
-	// check per trial.
+	// the next trial boundary after cancellation and the runner returns the
+	// tally of the trials that completed. Completed trials keep their exact
+	// deterministic outcomes — cancellation only truncates, never perturbs.
+	// Nil (or context.Background) adds one nil check per trial.
 	Ctx context.Context
 	// Model selects the fault model whole-program trials sample from. Nil is
 	// the single-bit-flip default, byte-identical to the historical
@@ -73,22 +69,10 @@ type trialOutcome struct {
 // fanning trials across workers. Each trial's randomness depends only on
 // (Seed, trial index), and trials are folded in index order, so for a fixed
 // (Seed, trials) configuration the result is identical regardless of
-// Workers — including the serial Workers=1 schedule.
+// Workers — including the serial Workers=1 schedule. It is OverallShard over
+// the whole index range [0, trials).
 func OverallParallel(p *interp.Program, g *Golden, trials int, opts ParallelOptions) Counts {
-	if opts.BatchSize > 1 {
-		return overallBatched(p, g, trials, opts)
-	}
-	outcomes := make([]trialOutcome, trials)
-	parallel.ForEachWorker(opts.Workers, trials, func() *interp.Injector { return newInjector(p, g) }, func(inj *interp.Injector, i int) {
-		if ctxCanceled(opts.Ctx) {
-			return
-		}
-		rng := trialRNG(opts.Seed, i)
-		plan := samplePlan(opts.Model, rng, g.DynCount)
-		o, _, dyn := classify(inj, g, &plan, rng, opts.Detector)
-		outcomes[i] = trialOutcome{o: o, dyn: dyn, ok: true}
-	})
-	return foldOutcomes(outcomes)
+	return OverallShard(p, g, 0, trials, opts)
 }
 
 // foldOutcomes tallies completed trials in index order, skipping the ones
@@ -107,11 +91,7 @@ func foldOutcomes(outcomes []trialOutcome) Counts {
 
 // PerInstructionParallel is the parallel form of PerInstruction: the
 // instruction list is distributed across workers, each instruction's trials
-// seeded by its ID so the results match any worker count. With
-// opts.BatchSize > 1 each instruction's trials run in lockstep batches;
-// plans are pre-sampled from the same per-ID stream in the same order (and
-// static plans draw their fault bits eagerly, never at injection), so the
-// batched counts are bit-identical to the per-trial ones.
+// seeded by its ID so the results match any worker count.
 func PerInstructionParallel(p *interp.Program, g *Golden, ids []int, trialsPerInstr int, opts ParallelOptions) []InstrResult {
 	out := make([]InstrResult, len(ids))
 	parallel.ForEachWorker(opts.Workers, len(ids), func() *interp.Injector { return newInjector(p, g) }, func(inj *interp.Injector, k int) {
@@ -124,18 +104,6 @@ func PerInstructionParallel(p *interp.Program, g *Golden, ids []int, trialsPerIn
 		}
 		ty := p.InstrType(id)
 		rng := trialRNG(opts.Seed, id)
-		if opts.BatchSize > 1 {
-			plans := make([]fault.Plan, trialsPerInstr)
-			for t := range plans {
-				plans[t] = fault.SampleStatic(rng, id, ty, execCount)
-			}
-			outs := make([]trialOutcome, trialsPerInstr)
-			// workers=1: instruction-level fan-out already occupies the
-			// pool; nesting another ForEach would oversubscribe it.
-			runBatchJobs(p, g, plans, func(int) *xrand.RNG { return rng }, opts.BatchSize, 1, nil, ctxDone(opts.Ctx), outs)
-			res.Counts = foldOutcomes(outs)
-			return
-		}
 		for t := 0; t < trialsPerInstr; t++ {
 			if ctxCanceled(opts.Ctx) {
 				break
@@ -147,64 +115,6 @@ func PerInstructionParallel(p *interp.Program, g *Golden, ids []int, trialsPerIn
 		}
 	})
 	return out
-}
-
-// overallBatched is OverallParallel's lockstep path. Plans and per-trial
-// RNGs are derived exactly as on the per-trial path (SampleDynamic is the
-// first draw on each trial's private stream; the fault-bit draw at
-// injection continues the same stream inside BatchRun), trials are grouped
-// by the snapshot ForPlan selects, and batches fan out across workers while
-// outcomes fold in trial-index order — so the counts are bit-identical for
-// every batch size and worker count.
-func overallBatched(p *interp.Program, g *Golden, trials int, opts ParallelOptions) Counts {
-	plans := make([]fault.Plan, trials)
-	rngs := make([]*xrand.RNG, trials)
-	for i := range plans {
-		rngs[i] = trialRNG(opts.Seed, i)
-		plans[i] = samplePlan(opts.Model, rngs[i], g.DynCount)
-	}
-	outcomes := make([]trialOutcome, trials)
-	runBatchJobs(p, g, plans, func(i int) *xrand.RNG { return rngs[i] }, opts.BatchSize, opts.Workers, opts.Detector, ctxDone(opts.Ctx), outcomes)
-	return foldOutcomes(outcomes)
-}
-
-// runBatchJobs executes the planned trials in lockstep batches, fanning the
-// batches across workers, and writes each trial's classified outcome into
-// outs[i]. rngFor supplies the RNG a trial injects with; batch telemetry
-// accumulates into g.Checkpoints (atomic, nil-safe). When done closes,
-// in-flight batches stop at their next boundary and unstarted trials leave
-// their outs entries with ok=false.
-func runBatchJobs(p *interp.Program, g *Golden, plans []fault.Plan, rngFor func(i int) *xrand.RNG, size, workers int, detector func(staticID int) bool, done <-chan struct{}, outs []trialOutcome) {
-	jobs := batchJobs(g, plans, size)
-	budget := g.DynCount*hangBudgetMultiplier + hangBudgetSlack
-	parallel.ForEach(workers, len(jobs), func(j int) {
-		if doneClosed(done) {
-			return
-		}
-		job := &jobs[j]
-		bt := make([]interp.BatchTrial, len(job.idx))
-		for k, i := range job.idx {
-			bt[k] = interp.BatchTrial{Plan: plans[i], RNG: rngFor(i)}
-		}
-		st := interp.BatchRun(p, g.Input, job.snap, bt, interp.Options{MaxDyn: budget, Done: done}, func(k int, r *interp.Result) {
-			o, _ := classifyResult(g, r, detector)
-			outs[job.idx[k]] = trialOutcome{o: o, dyn: r.DynCount, ok: true}
-		})
-		g.Checkpoints.NoteBatch(st)
-	})
-}
-
-// doneClosed mirrors interp's Done polling for the job dispatcher.
-func doneClosed(done <-chan struct{}) bool {
-	if done == nil {
-		return false
-	}
-	select {
-	case <-done:
-		return true
-	default:
-		return false
-	}
 }
 
 // TrialResult is one classified FI trial: its outcome and the dynamic
@@ -219,55 +129,23 @@ type TrialResult struct {
 // RunPlans classifies one trial per pre-sampled plan against the golden and
 // returns the results in plan order. rngFor supplies trial i's private RNG
 // (used for any fault bits a plan left pending); each trial must get a
-// stream derived only from its index, never one shared across trials. With
-// opts.BatchSize > 1, trials sharing a checkpoint run in lockstep batches;
-// either way results depend only on (plans, rngFor), not on opts.Workers or
-// opts.BatchSize, so callers composing measurements from RunPlans inherit
-// the repository's bit-identity contract. opts.Seed is ignored — the plans
-// and rngFor already carry all randomness.
+// stream derived only from its index, never one shared across trials.
+// Results depend only on (plans, rngFor), not on opts.Workers, so callers
+// composing measurements from RunPlans inherit the repository's
+// bit-identity contract. opts.Seed is ignored — the plans and rngFor
+// already carry all randomness.
 func RunPlans(p *interp.Program, g *Golden, plans []fault.Plan, rngFor func(i int) *xrand.RNG, opts ParallelOptions) []TrialResult {
 	outs := make([]trialOutcome, len(plans))
-	if opts.BatchSize > 1 {
-		runBatchJobs(p, g, plans, rngFor, opts.BatchSize, opts.Workers, opts.Detector, ctxDone(opts.Ctx), outs)
-	} else {
-		parallel.ForEachWorker(opts.Workers, len(plans), func() *interp.Injector { return newInjector(p, g) }, func(inj *interp.Injector, i int) {
-			if ctxCanceled(opts.Ctx) {
-				return
-			}
-			o, _, dyn := classify(inj, g, &plans[i], rngFor(i), opts.Detector)
-			outs[i] = trialOutcome{o: o, dyn: dyn, ok: true}
-		})
-	}
+	parallel.ForEachWorker(opts.Workers, len(plans), func() *interp.Injector { return newInjector(p, g) }, func(inj *interp.Injector, i int) {
+		if ctxCanceled(opts.Ctx) {
+			return
+		}
+		o, _, dyn := classify(inj, g, &plans[i], rngFor(i), opts.Detector)
+		outs[i] = trialOutcome{o: o, dyn: dyn, ok: true}
+	})
 	res := make([]TrialResult, len(outs))
 	for i, t := range outs {
 		res[i] = TrialResult{Outcome: t.o, Dyn: t.dyn, Skipped: !t.ok}
 	}
 	return res
-}
-
-// batchJob is one BatchRun dispatch: trial indices sharing a base snapshot.
-type batchJob struct {
-	snap *interp.Snapshot
-	idx  []int
-}
-
-// batchJobs groups trial indices by the snapshot each plan resumes from,
-// preserving index order within a group, then chunks groups to at most size
-// trials (the final chunk of a group may be smaller). The grouping is a
-// pure function of the plans and the golden's snapshots, so the job list —
-// and with it every fork point — is deterministic.
-func batchJobs(g *Golden, plans []fault.Plan, size int) []batchJob {
-	groups := make(map[*interp.Snapshot]int)
-	var jobs []batchJob
-	for i := range plans {
-		s := g.Checkpoints.ForPlan(&plans[i])
-		j, ok := groups[s]
-		if !ok || len(jobs[j].idx) >= size {
-			jobs = append(jobs, batchJob{snap: s})
-			j = len(jobs) - 1
-			groups[s] = j
-		}
-		jobs[j].idx = append(jobs[j].idx, i)
-	}
-	return jobs
 }

@@ -31,38 +31,32 @@ func ShardRange(trials, shard, shards int) (lo, hi int) {
 }
 
 // OverallShard runs the global trial indices [lo, hi) of a flat campaign
-// and returns their tally. Each trial's plan and RNG stream derive from its
-// GLOBAL index exactly as in OverallParallel, so summing shard tallies in
-// shard order (Counts.Merge) is bit-identical to the unsharded run for any
-// shard layout — including a remote process that knows only (seed, lo, hi,
-// golden).
+// and returns their tally. Each worker samples a trial's plan from the
+// trial's private stream, derived from its GLOBAL index, so summing shard
+// tallies in shard order (Counts.Merge) is bit-identical to the unsharded
+// run for any shard layout — including a remote process that knows only
+// (seed, lo, hi, golden).
 func OverallShard(p *interp.Program, g *Golden, lo, hi int, opts ParallelOptions) Counts {
 	if hi <= lo {
 		return Counts{}
 	}
-	n := hi - lo
-	plans := make([]fault.Plan, n)
-	rngs := make([]*xrand.RNG, n)
-	for i := range plans {
-		rngs[i] = trialRNG(opts.Seed, lo+i)
-		plans[i] = samplePlan(opts.Model, rngs[i], g.DynCount)
-	}
-	res := RunPlans(p, g, plans, func(i int) *xrand.RNG { return rngs[i] }, opts)
-	var c Counts
-	for _, t := range res {
-		if t.Skipped {
-			continue
+	outcomes := make([]trialOutcome, hi-lo)
+	parallel.ForEachWorker(opts.Workers, hi-lo, func() *interp.Injector { return newInjector(p, g) }, func(inj *interp.Injector, i int) {
+		if ctxCanceled(opts.Ctx) {
+			return
 		}
-		c.Add(t.Outcome)
-		c.DynInstrs += t.Dyn
-	}
-	return c
+		rng := trialRNG(opts.Seed, lo+i)
+		plan := samplePlan(opts.Model, rng, g.DynCount)
+		o, _, dyn := classify(inj, g, &plan, rng, opts.Detector)
+		outcomes[i] = trialOutcome{o: o, dyn: dyn, ok: true}
+	})
+	return foldOutcomes(outcomes)
 }
 
 // OverallSharded splits a flat campaign into `shards` contiguous ranges,
 // runs them concurrently in-process, and merges the tallies in shard order
 // — bit-identical to OverallParallel(p, g, trials, opts) at every shard
-// count. Each shard runs with the caller's Workers/BatchSize; callers that
+// count. Each shard runs with the caller's Workers; callers that
 // use shards as the unit of concurrency should set Workers to 1 to avoid
 // oversubscribing the pool.
 func OverallSharded(p *interp.Program, g *Golden, trials, shards int, opts ParallelOptions) Counts {

@@ -54,8 +54,8 @@ func TestCountsMerge(t *testing.T) {
 
 // TestOverallShardedEquivalence is the sharding differential gate: for every
 // prog benchmark, the merged tally of a sharded flat campaign must be
-// bit-identical to the unsharded run at every shard count, worker count, and
-// batch size — trial RNG streams derive from (seed, global trial index), so
+// bit-identical to the unsharded run at every shard count and worker count
+// — trial RNG streams derive from (seed, global trial index), so
 // the split point cannot matter.
 func TestOverallShardedEquivalence(t *testing.T) {
 	trials := 300
@@ -75,13 +75,13 @@ func TestOverallShardedEquivalence(t *testing.T) {
 			const seed = 17
 			ref := OverallParallel(b.Prog, g, trials, ParallelOptions{Workers: 1, Seed: seed})
 			for _, shards := range []int{1, 2, 4} {
-				for _, cfg := range []struct{ workers, batch int }{{1, 1}, {4, 64}} {
+				for _, workers := range []int{1, 4} {
 					got := OverallSharded(b.Prog, g, trials, shards, ParallelOptions{
-						Workers: cfg.workers, Seed: seed, BatchSize: cfg.batch,
+						Workers: workers, Seed: seed,
 					})
 					if got != ref {
-						t.Fatalf("shards=%d workers=%d batch=%d: %+v vs unsharded %+v",
-							shards, cfg.workers, cfg.batch, got, ref)
+						t.Fatalf("shards=%d workers=%d: %+v vs unsharded %+v",
+							shards, workers, got, ref)
 					}
 				}
 			}
@@ -102,7 +102,7 @@ func TestOverallShardIndependentRanges(t *testing.T) {
 	ref := OverallParallel(p, g, trials, ParallelOptions{Workers: 1, Seed: seed})
 	var merged Counts
 	for _, r := range [][2]int{{0, 50}, {50, 51}, {51, 120}} {
-		merged.Merge(OverallShard(p, g, r[0], r[1], ParallelOptions{Workers: 2, Seed: seed, BatchSize: 8}))
+		merged.Merge(OverallShard(p, g, r[0], r[1], ParallelOptions{Workers: 2, Seed: seed}))
 	}
 	if merged != ref {
 		t.Fatalf("merged shards %+v != unsharded %+v", merged, ref)
@@ -149,7 +149,7 @@ func TestOverallShardedCancellation(t *testing.T) {
 	if c = OverallParallel(p, g, 100, ParallelOptions{Workers: 2, Seed: 3, Ctx: ctx}); c.Trials != 0 {
 		t.Fatalf("pre-canceled parallel campaign ran %d trials", c.Trials)
 	}
-	if c = OverallCtx(ctx, p, g, 100, xrand.New(3), nil); c.Trials != 0 {
+	if c = OverallModelCtx(ctx, p, g, 100, xrand.New(3), nil, nil); c.Trials != 0 {
 		t.Fatalf("pre-canceled serial campaign ran %d trials", c.Trials)
 	}
 

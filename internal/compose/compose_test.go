@@ -99,7 +99,7 @@ func golden(t *testing.T, b *prog.Benchmark, in []float64) *campaign.Golden {
 func TestEstimateExactReuse(t *testing.T) {
 	b := prog.Build("pathfinder")
 	g := golden(t, b, b.RefInput())
-	e := NewEstimator(b.Prog, nil, Options{Trials: 200, Seed: 7, Workers: 2, BatchSize: 8})
+	e := NewEstimator(b.Prog, nil, Options{Trials: 200, Seed: 7, Workers: 2})
 	first := e.EstimateGolden(g)
 	if first.Measured == 0 || first.MeasureTrials == 0 {
 		t.Fatalf("first estimate measured nothing: %+v", first)

@@ -31,10 +31,9 @@ type BaselineOptions struct {
 	// serially, and every trial's RNG is derived from (campaign seed,
 	// trial index), so the result is identical for every worker count.
 	Workers int
-	// BatchSize > 0 runs each candidate's FI campaign in lockstep batches
-	// of at most this size (see campaign.ParallelOptions.BatchSize). The
-	// campaign already derives per-trial RNG streams, so tallies — and the
-	// whole search — are bit-identical at every batch size.
+	// Deprecated: ignored. Every candidate's FI trials run on reused
+	// per-worker trial machines; the field stays so existing callers still
+	// compile.
 	BatchSize int
 	// CheckpointInterval enables golden-prefix snapshots for each
 	// candidate's FI campaign: campaign.CheckpointAuto (0) auto-tunes the
@@ -171,7 +170,6 @@ func RandomSearch(b *prog.Benchmark, opts BaselineOptions, rng *xrand.RNG) *Base
 			Trials:    opts.ComposeTrials,
 			Threshold: opts.ComposeThreshold,
 			Workers:   opts.Workers,
-			BatchSize: opts.BatchSize,
 			Seed:      rng.Uint64(),
 			Trace:     tr,
 			Model:     opts.Model,
@@ -222,7 +220,6 @@ func RandomSearch(b *prog.Benchmark, opts BaselineOptions, rng *xrand.RNG) *Base
 			ar := campaign.OverallAdaptive(b.Prog, g, campaign.AdaptiveOptions{
 				Workers:             opts.Workers,
 				Seed:                rng.Uint64(),
-				BatchSize:           opts.BatchSize,
 				CITarget:            opts.CITarget,
 				MinTrialsPerStratum: opts.MinTrialsPerStratum,
 				MaxTrials:           adaptiveMax,
@@ -232,10 +229,9 @@ func RandomSearch(b *prog.Benchmark, opts BaselineOptions, rng *xrand.RNG) *Base
 			campaign.EmitAdaptiveTelemetry(tr, "fi.adaptive", ar)
 		} else {
 			c = campaign.OverallParallel(b.Prog, g, opts.TrialsPerInput, campaign.ParallelOptions{
-				Workers:   opts.Workers,
-				Seed:      rng.Uint64(),
-				BatchSize: opts.BatchSize,
-				Model:     opts.Model,
+				Workers: opts.Workers,
+				Seed:    rng.Uint64(),
+				Model:   opts.Model,
 			})
 			sdc = c.SDCProbability()
 		}
@@ -277,7 +273,6 @@ func RandomSearch(b *prog.Benchmark, opts BaselineOptions, rng *xrand.RNG) *Base
 	res.Elapsed = time.Since(start)
 	endPhase()
 	campaign.EmitCheckpointTelemetry(tr, "baseline.checkpoints", ckStats)
-	campaign.EmitBatchTelemetry(tr, "fi.batch", ckStats, opts.BatchSize)
 	if composeEst != nil {
 		st := composeEst.Stats()
 		res.ComposeStats = &st

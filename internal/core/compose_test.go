@@ -114,7 +114,6 @@ func TestRandomSearchCompose(t *testing.T) {
 	}
 
 	opts.Workers = 4
-	opts.BatchSize = 8
 	res4 := RandomSearch(b, opts, xrand.New(21))
 	if res4.BestSDC != res.BestSDC || res4.DynSpent != res.DynSpent {
 		t.Fatalf("compose baseline differs across workers: sdc %v vs %v, dyn %d vs %d",

@@ -53,17 +53,6 @@ type Options struct {
 	// the closing FI campaign always consume the search RNG serially, so
 	// the result is bit-identical for every worker count.
 	Workers int
-	// BatchSize > 0 routes the pipeline's whole-program FI campaigns
-	// (Figure 5 checkpoints and the closing measurement) through the
-	// lockstep batch executor: trials grouped by nearest golden snapshot
-	// run interp.BatchRun batches of at most this size, sharing one trunk
-	// replay per batch. Batched campaigns derive per-trial RNG streams from
-	// one seed drawn off the search RNG instead of classifying on the
-	// shared serial stream, so enabling batching changes which plans a
-	// given seed produces — but the batched tallies themselves are
-	// bit-identical for every batch size and worker count. 0 keeps the
-	// serial shared-stream campaign.
-	BatchSize int
 	// CheckpointInterval controls golden-prefix snapshotting for the
 	// pipeline's FI campaigns (sensitivity, Figure 5 checkpoints, final):
 	// campaign.CheckpointAuto (0) tunes the spacing from each golden's
@@ -115,7 +104,7 @@ type Options struct {
 	// a composed approximation. Enabling compose draws one extra seed off
 	// the search RNG and replaces checkpoint campaigns, so it changes
 	// sampled plans versus a non-compose run; composed results themselves
-	// are bit-identical for every Workers/BatchSize.
+	// are bit-identical for every Workers.
 	Compose bool
 	// ComposeThreshold is the profile re-measurement trigger
 	// (0: compose.DefaultThreshold; < 0: never re-measure).
@@ -336,7 +325,6 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 			Trials:    opts.ComposeTrials,
 			Threshold: opts.ComposeThreshold,
 			Workers:   opts.Workers,
-			BatchSize: opts.BatchSize,
 			Seed:      rng.Uint64(),
 			Trace:     tr,
 			Ctx:       opts.Ctx,
@@ -427,7 +415,7 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 					cp.Composed = ce
 					cp.Counts = ce.Counts
 				} else {
-					cp.Counts = overallCampaign(b.Prog, g, opts.FinalTrials, fiRNG, opts)
+					cp.Counts = campaign.OverallModelCtx(opts.Ctx, b.Prog, g, opts.FinalTrials, fiRNG, nil, opts.Model)
 				}
 				ckStats.Accumulate(g.CheckpointStats())
 				heatG = g
@@ -475,7 +463,6 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 		res.FinalAdaptive = campaign.OverallAdaptive(b.Prog, g, campaign.AdaptiveOptions{
 			Workers:             opts.Workers,
 			Seed:                rng.Uint64(),
-			BatchSize:           opts.BatchSize,
 			CITarget:            opts.CITarget,
 			MinTrialsPerStratum: opts.MinTrialsPerStratum,
 			MaxTrials:           opts.adaptiveMaxTrials(),
@@ -485,7 +472,7 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 		res.Final = res.FinalAdaptive.Counts
 		campaign.EmitAdaptiveTelemetry(tr, "fi.adaptive", res.FinalAdaptive)
 	} else {
-		res.Final = overallCampaign(b.Prog, g, opts.FinalTrials, rng, opts)
+		res.Final = campaign.OverallModelCtx(opts.Ctx, b.Prog, g, opts.FinalTrials, rng, nil, opts.Model)
 	}
 	ckStats.Accumulate(g.CheckpointStats())
 	res.Cost.FinalFIDyn = res.Final.DynInstrs + g.DynCount
@@ -504,7 +491,6 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 			telemetry.F("measure_dyn", st.MeasureDyn))
 	}
 	campaign.EmitCheckpointTelemetry(tr, "search.fi_checkpoints", ckStats)
-	campaign.EmitBatchTelemetry(tr, "fi.batch", ckStats, opts.BatchSize)
 	tr.Emit("search.final", append([]telemetry.Field{
 		telemetry.F("fitness", res.BestFitness),
 		telemetry.F("sdc", res.SDCBound()),
@@ -517,27 +503,6 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 			dist.TopHeat(g.InstrCounts, g.DynCount, opts.HeatTopK))
 	}
 	return res, nil
-}
-
-// overallCampaign routes one whole-program FI campaign of the pipeline:
-// the serial shared-stream path by default, or — with Options.BatchSize
-// > 0 — the lockstep batched runner. The serial path interleaves each
-// trial's plan and fault-bit draws on one shared stream and therefore
-// cannot be regrouped into batches without changing the draws; the batched
-// path instead seeds per-trial streams from a single serial draw off the
-// same search RNG, keeping the search deterministic and the tallies
-// bit-identical for every batch size and worker count.
-func overallCampaign(p *interp.Program, g *campaign.Golden, trials int, rng *xrand.RNG, opts Options) campaign.Counts {
-	if opts.BatchSize > 0 {
-		return campaign.OverallParallel(p, g, trials, campaign.ParallelOptions{
-			Workers:   opts.Workers,
-			Seed:      rng.Uint64(),
-			BatchSize: opts.BatchSize,
-			Ctx:       opts.Ctx,
-			Model:     opts.Model,
-		})
-	}
-	return campaign.OverallModelCtx(opts.Ctx, p, g, trials, rng, nil, opts.Model)
 }
 
 // Fitness is PEPPA-X's per-candidate evaluation (§4.2.5): one profiled

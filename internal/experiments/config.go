@@ -75,17 +75,6 @@ type Config struct {
 	// checkpointing. Reports are bit-identical in all modes.
 	CheckpointInterval int64
 
-	// BatchSize > 0 runs the suite's FI campaigns in lockstep batches of at
-	// most this size on the checkpointed goldens (see
-	// campaign.ParallelOptions.BatchSize). Campaigns already running on
-	// per-trial RNG streams (studies, baselines, per-instruction sweeps)
-	// are bit-identical at every batch size; the PEPPA-X search's own
-	// campaigns switch from the serial shared stream to per-trial streams
-	// when batched (see core.Options.BatchSize), so reports with batching
-	// on and off differ in sampled plans while remaining internally
-	// deterministic. 0 keeps the per-trial paths.
-	BatchSize int
-
 	// Recorder, when non-nil, receives the suite's telemetry: each
 	// memoized artifact (search, baseline, study, per-instruction study)
 	// emits into its own keyed stream, so the trace is byte-identical for

@@ -122,7 +122,6 @@ func (s *Suite) Search(name string) (*core.Result, error) {
 		opts.FinalTrials = s.Cfg.OverallTrials
 		opts.Checkpoints = append([]int(nil), s.Cfg.Checkpoints...)
 		opts.Workers = s.Cfg.Workers
-		opts.BatchSize = s.Cfg.BatchSize
 		opts.CheckpointInterval = s.Cfg.CheckpointInterval
 		opts.Trace = s.Cfg.Recorder.Stream("search/" + name)
 		opts.HeatTopK = s.Cfg.HeatTopK
@@ -178,7 +177,6 @@ func (s *Suite) Baseline(name string) (*core.BaselineResult, error) {
 			TrialsPerInput:      s.Cfg.OverallTrials,
 			DynBudget:           s.maxBaselineBudget(r),
 			Workers:             s.Cfg.Workers,
-			BatchSize:           s.Cfg.BatchSize,
 			CheckpointInterval:  s.Cfg.CheckpointInterval,
 			Trace:               s.Cfg.Recorder.Stream("baseline/" + name),
 			HeatTopK:            s.Cfg.HeatTopK,
@@ -265,9 +263,8 @@ func (s *Suite) Study(name string) (*RandomStudy, error) {
 				return StudyPoint{}, err
 			}
 			c := campaign.OverallParallel(b.Prog, g, s.Cfg.OverallTrials, campaign.ParallelOptions{
-				Workers:   s.Cfg.Workers,
-				Seed:      rng.Uint64(),
-				BatchSize: s.Cfg.BatchSize,
+				Workers: s.Cfg.Workers,
+				Seed:    rng.Uint64(),
 			})
 			tr.Advance(g.DynCount + c.DynInstrs)
 			tr.Emit("study.point", append([]telemetry.Field{
@@ -323,9 +320,8 @@ func (s *Suite) PerInstr(name string) (*PerInstrStudy, error) {
 				continue
 			}
 			res := campaign.PerInstructionParallel(b.Prog, g, ids, s.Cfg.PerInstrTrials, campaign.ParallelOptions{
-				Workers:   s.Cfg.Workers,
-				Seed:      rng.Uint64(),
-				BatchSize: s.Cfg.BatchSize,
+				Workers: s.Cfg.Workers,
+				Seed:    rng.Uint64(),
 			})
 			var trials int
 			var dyn int64

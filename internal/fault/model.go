@@ -18,8 +18,7 @@ import (
 // plan from the campaign's per-trial RNG stream, and Apply corrupts the
 // targeted value at injection time (called by the interpreter with the same
 // stream). Implementations must be deterministic functions of their RNG so
-// campaign tallies stay bit-identical across workers, batch sizes and
-// shards.
+// campaign tallies stay bit-identical across workers and shards.
 type Model interface {
 	// Name is the stable registry key, used in CLI flags and cache keys.
 	Name() string

@@ -73,10 +73,6 @@ type Checkpoints struct {
 	restored atomic.Int64
 	scratch  atomic.Int64
 	skipped  atomic.Int64
-
-	batches       atomic.Int64
-	batchedTrials atomic.Int64
-	trunkDyn      atomic.Int64
 }
 
 // Interval returns the snapshot spacing in dynamic instructions.
@@ -102,14 +98,6 @@ type CheckpointStats struct {
 	// SkippedDyn is the total count of golden-prefix dynamic instructions
 	// the resumed trials did not have to re-execute.
 	SkippedDyn int64
-	// Batches counts lockstep BatchRun executions, BatchedTrials the trials
-	// they covered, and TrunkDyn the dynamic instructions the shared batch
-	// trunks executed — prefix work paid once per batch instead of once per
-	// trial. All three derive from the dyn clock and the deterministic
-	// trial grouping, never from scheduling.
-	Batches       int64
-	BatchedTrials int64
-	TrunkDyn      int64
 }
 
 // Accumulate folds another sample into s, for aggregating usage across the
@@ -122,9 +110,6 @@ func (st *CheckpointStats) Accumulate(o CheckpointStats) {
 	st.Restored += o.Restored
 	st.Scratch += o.Scratch
 	st.SkippedDyn += o.SkippedDyn
-	st.Batches += o.Batches
-	st.BatchedTrials += o.BatchedTrials
-	st.TrunkDyn += o.TrunkDyn
 }
 
 // Stats returns the current usage counters.
@@ -133,32 +118,12 @@ func (c *Checkpoints) Stats() CheckpointStats {
 		return CheckpointStats{}
 	}
 	return CheckpointStats{
-		Snapshots:     len(c.snaps),
-		Interval:      c.interval,
-		Restored:      c.restored.Load(),
-		Scratch:       c.scratch.Load(),
-		SkippedDyn:    c.skipped.Load(),
-		Batches:       c.batches.Load(),
-		BatchedTrials: c.batchedTrials.Load(),
-		TrunkDyn:      c.trunkDyn.Load(),
+		Snapshots:  len(c.snaps),
+		Interval:   c.interval,
+		Restored:   c.restored.Load(),
+		Scratch:    c.scratch.Load(),
+		SkippedDyn: c.skipped.Load(),
 	}
-}
-
-// NoteBatch folds one BatchRun's usage into the counters: forked trials
-// (and fallback trials that still resumed from the base snapshot) count as
-// restored with their skipped prefix, base-less fallbacks as scratch.
-// Safe for concurrent batch workers; everything recorded derives from the
-// deterministic trial grouping, so the totals are worker-count independent.
-func (c *Checkpoints) NoteBatch(st BatchStats) {
-	if c == nil {
-		return
-	}
-	c.batches.Add(1)
-	c.batchedTrials.Add(int64(st.Trials))
-	c.trunkDyn.Add(st.TrunkDyn)
-	c.restored.Add(int64(st.Forked + st.FallbackRestored))
-	c.scratch.Add(int64(st.Fallback - st.FallbackRestored))
-	c.skipped.Add(st.ForkSkipped + st.FallbackSkipped)
 }
 
 // AutoCheckpointInterval picks the snapshot spacing for a golden run of
@@ -191,9 +156,7 @@ func (e *exec) takeSnapshot() {
 // clean pages are shared with prev (nil forces a full page copy), then
 // clears the dirty-page map. Callable only at instruction boundaries where
 // fr.pc has been synced, with e.dirty tracking every write since prev was
-// captured (or, when the run itself started by restoring prev, since that
-// restore — the pages are bit-identical either way). The batch executor
-// chains trunk forks through here with each fork as the next prev.
+// captured.
 func (e *exec) captureSnapshot(prev *Snapshot) *Snapshot {
 	nPages := int(pageCount(e.memTop))
 	pages := make([][]uint64, nPages)
@@ -234,7 +197,7 @@ func (e *exec) captureSnapshot(prev *Snapshot) *Snapshot {
 }
 
 // restoreInto rebuilds the snapshot's machine state inside a fresh (or
-// batch-reset) exec.
+// injector-reset) exec.
 func (s *Snapshot) restoreInto(e *exec) {
 	e.dyn = s.dyn
 	e.memTop = s.memTop

@@ -148,13 +148,6 @@ type Program struct {
 	// blockInstrs[b] counts the non-phi value-producing instructions of
 	// global block b.
 	blockInstrs []int32
-
-	// maxSlotDyn bounds how far the dyn clock can advance inside a single
-	// dispatch slot (fused pairs, phi move lists).
-	// Boundary checks in run() happen between slots, so the batch executor
-	// subtracts this bound when arming a stop point that must be reached
-	// strictly before a given dyn value (see batch.go).
-	maxSlotDyn int64
 }
 
 // NumInstrs returns the number of injectable static instructions.
@@ -224,40 +217,10 @@ func Compile(m *ir.Module) (*Program, error) {
 		p.funcs = append(p.funcs, cf)
 	}
 	p.buildProfileTables()
-	p.maxSlotDyn = 1
 	for _, cf := range p.funcs {
 		fuseFunc(cf)
-		for i := range cf.code {
-			if d := slotDynBound(&cf.code[i]); d > p.maxSlotDyn {
-				p.maxSlotDyn = d
-			}
-		}
 	}
 	return p, nil
-}
-
-// slotDynBound returns an upper bound on the dyn-clock advance of one
-// dispatch slot: phi move lists execute one injectable copy per move, fused
-// pairs up to two value productions, everything else at most one (an OpRet
-// completing the caller's call counts once).
-func slotDynBound(in *inst) int64 {
-	maxMoves := func() int64 {
-		a, b := len(in.movesA), len(in.movesB)
-		if b > a {
-			a = b
-		}
-		return int64(a)
-	}
-	switch in.op {
-	case ir.OpBr, ir.OpCondBr:
-		return maxMoves()
-	case opFusedCmpBr:
-		return maxMoves() + 1
-	case opFusedLoadArith, opFusedArithLoad, opFusedArithArith:
-		return 2
-	default:
-		return 1
-	}
 }
 
 // buildProfileTables numbers blocks and phi-carrying edges into one global

@@ -100,15 +100,6 @@ type Options struct {
 	// CheckpointInterval with a fault Plan panics: snapshots must capture
 	// fault-free state.
 	CheckpointInterval int64
-	// Done, when non-nil, is a cooperative cancellation signal (a
-	// context.Context's Done channel). BatchRun polls it at checkpoint
-	// boundaries: once closed, the shared trunk suspends at its next
-	// boundary and no further trials are launched — trials already reported
-	// stay valid, the remaining ones are never reported. A nil channel (the
-	// context.Background case) is never polled and costs nothing. The
-	// single-run entry points ignore Done; campaign loops check between
-	// trials instead.
-	Done <-chan struct{}
 }
 
 const (
@@ -272,13 +263,12 @@ type exec struct {
 	nextCkpt int64
 	dirty    []bool
 
-	// Batch-execution hooks (see batch.go). onBoundary, when non-nil,
-	// replaces snapshot recording at armed instruction boundaries
-	// (dyn >= nextCkpt): the batch trunk captures COW forks there and batch
-	// trials pause once their fault has fired. Returning false suspends the
-	// run with paused set and the frame stack in a resumable state.
-	onBoundary func() bool
-	paused     bool
+	// Injector state (see injector.go). On an injector's machine, armed
+	// instruction boundaries (dyn >= nextCkpt) call injectBoundary instead
+	// of recording a snapshot; once the fault has fired it suspends the run
+	// with paused set and the frame stack in a resumable state.
+	injector bool
+	paused   bool
 
 	// Taint tracking state (nil unless Options.TrackPropagation).
 	taintMem     []bool
@@ -623,8 +613,8 @@ func (e *exec) run() (uint64, bool) {
 			// Instruction boundaries are the only points where the cached pc
 			// and the frame stack describe a resumable state.
 			fr.pc = pc
-			if e.onBoundary != nil {
-				if !e.onBoundary() {
+			if e.injector {
+				if !e.injectBoundary() {
 					e.paused = true
 					return 0, false
 				}

@@ -38,7 +38,7 @@ func NewInjector(p *Program, opts Options) *Injector {
 	}
 	e := newExec(p, Options{MaxDyn: opts.MaxDyn, MaxMemWords: opts.MaxMemWords, MaxDepth: opts.MaxDepth})
 	e.blockCounts = make([]int64, p.CounterLen()) // runFast scratch; never read
-	e.onBoundary = e.injectBoundary
+	e.injector = true
 	return &Injector{p: p, e: e}
 }
 
@@ -49,13 +49,7 @@ func NewInjector(p *Program, opts Options) *Injector {
 // draws at injection time. The returned Result — Output included — is owned
 // by the Injector and valid only until its next trial.
 func (in *Injector) Run(args []uint64, c *Checkpoints, plan *fault.Plan, rng *xrand.RNG) *Result {
-	return in.trial(args, c.resumePoint(in.p, plan), plan, rng)
-}
-
-// trial runs one plan from snapshot s (nil: the entry frame with args). s
-// must precede the injection point, the ForPlan contract; static-mode plans
-// need a profiled s.
-func (in *Injector) trial(args []uint64, s *Snapshot, plan *fault.Plan, rng *xrand.RNG) *Result {
+	s := c.resumePoint(in.p, plan)
 	e := in.e
 	e.resetFast(e.maxDyn)
 	e.injected, e.injID, e.injBit, e.occSeen, e.paused = false, 0, 0, 0, false

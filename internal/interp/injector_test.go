@@ -2,6 +2,8 @@ package interp
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/fault"
@@ -91,6 +93,72 @@ func buildInjectorMix(t testing.TB) (*Program, mixIDs) {
 	return p, mixIDs{size: size.ID, j2: j2.ID, k: k.ID, dup: v.ID, lateSize: lateSize.ID}
 }
 
+// checkpointedGolden runs the program with profiling checkpoints at the
+// given interval and returns the result (whose Checkpoints carry profiled
+// snapshots, like campaign goldens).
+func checkpointedGolden(t *testing.T, p *Program, args []uint64, interval int64) *Result {
+	t.Helper()
+	r := Run(p, args, Options{Profile: true, CheckpointInterval: interval})
+	if r.Trap != nil {
+		t.Fatalf("golden trapped: %v", r.Trap)
+	}
+	if len(r.Checkpoints.snaps) == 0 {
+		t.Fatal("golden recorded no snapshots")
+	}
+	return r
+}
+
+// trialBudget mirrors the campaign hang budget loosely; the white-box
+// programs here are tiny, so a flat slack suffices.
+func trialBudget(r *Result) int64 { return r.DynCount*3 + 10000 }
+
+// seededRNG returns a fresh stream for seed, or nil for seed 0 (a plan
+// whose bit is already fixed).
+func seededRNG(seed uint64) *xrand.RNG {
+	if seed == 0 {
+		return nil
+	}
+	return xrand.New(seed)
+}
+
+// injectorCase is one Injector trial and the two oracles it must match: a
+// fresh-exec RunWithCheckpoints resuming from a second, independently
+// recorded golden's snapshots, and the reference interpreter from scratch.
+type injectorCase struct {
+	p      *Program
+	args   []uint64
+	fresh  *Checkpoints
+	budget int64
+}
+
+// check runs plan on inj against c and compares it with both oracles; seed
+// feeds each run an identical private RNG (0: none). It returns a detached
+// copy of the injector's result.
+func (ic injectorCase) check(t *testing.T, label string, inj *Injector, c *Checkpoints, plan fault.Plan, seed uint64) *Result {
+	t.Helper()
+	got := copyResult(inj.Run(ic.args, c, &plan, seededRNG(seed)))
+	ic.compare(t, label, got, plan, seed)
+	return got
+}
+
+// compare checks an already-run injector trial against both oracles.
+func (ic injectorCase) compare(t *testing.T, label string, got *Result, plan fault.Plan, seed uint64) {
+	t.Helper()
+	want := RunWithCheckpoints(ic.p, ic.args, ic.fresh, Options{Plan: &plan, FaultRNG: seededRNG(seed), MaxDyn: ic.budget})
+	sameResult(t, label, want, got)
+	checkRef(t, label, got, refRun(ic.p, ic.args, Options{Plan: &plan, FaultRNG: seededRNG(seed), MaxDyn: ic.budget}))
+}
+
+// newInjectorCase records two identical checkpointed goldens of p on args:
+// the first for the injector under test, the second for the fresh-exec
+// oracle, so the two never share snapshot state or usage counters.
+func newInjectorCase(t *testing.T, p *Program, args []uint64, interval int64) (*Result, injectorCase) {
+	t.Helper()
+	g := checkpointedGolden(t, p, args, interval)
+	fresh := checkpointedGolden(t, p, args, interval)
+	return g, injectorCase{p: p, args: args, fresh: fresh.Checkpoints, budget: trialBudget(g)}
+}
+
 // copyResult detaches a borrowed Result from its Injector.
 func copyResult(r *Result) *Result {
 	c := *r
@@ -108,11 +176,7 @@ func copyResult(r *Result) *Result {
 // the checkpoint usage counters must match the fresh path's.
 func TestInjectorReuseIsolation(t *testing.T) {
 	p, ids := buildInjectorMix(t)
-	args := []uint64{12}
-	const interval = 20
-	g := batchGolden(t, p, args, interval)
-	gFresh := batchGolden(t, p, args, interval)
-	budget := trialBudget(g)
+	g, ic := newInjectorCase(t, p, []uint64{12}, 20)
 
 	// The targeted trials, in the order they first run. The first grows the
 	// fresh injector's memory right after restoring the last snapshot, which
@@ -162,23 +226,16 @@ func TestInjectorReuseIsolation(t *testing.T) {
 	}
 	seq = append(seq, ordinary[len(special):]...)
 
-	inj := NewInjector(p, Options{MaxDyn: budget})
+	inj := NewInjector(p, Options{MaxDyn: ic.budget})
 	var fromEntry int
 	for _, tr := range seq {
-		var rngA, rngB, rngC *xrand.RNG
-		if tr.seed != 0 {
-			rngA, rngB, rngC = xrand.New(tr.seed), xrand.New(tr.seed), xrand.New(tr.seed)
-		}
 		if g.Checkpoints.ForPlan(&tr.plan) == nil {
 			fromEntry++
 		}
-		got := copyResult(inj.Run(args, g.Checkpoints, &tr.plan, rngA))
+		got := ic.check(t, tr.label, inj, g.Checkpoints, tr.plan, tr.seed)
 		if tr.want != nil && !tr.want(got) {
 			t.Fatalf("%s: targeted fault missed its effect: %+v", tr.label, got)
 		}
-		want := RunWithCheckpoints(p, args, gFresh.Checkpoints, Options{Plan: &tr.plan, FaultRNG: rngB, MaxDyn: budget})
-		sameResult(t, tr.label, want, got)
-		checkRef(t, tr.label, got, refRun(p, args, Options{Plan: &tr.plan, FaultRNG: rngC, MaxDyn: budget}))
 	}
 	if fromEntry == 0 {
 		t.Fatal("no trial injected before the first checkpoint")
@@ -186,8 +243,155 @@ func TestInjectorReuseIsolation(t *testing.T) {
 	if len(inj.e.mem) <= 4096 {
 		t.Fatalf("the corrupted alloca never grew the injector's memory (%d words)", len(inj.e.mem))
 	}
-	if a, b := g.Checkpoints.Stats(), gFresh.Checkpoints.Stats(); a != b {
+	if a, b := g.Checkpoints.Stats(), ic.fresh.Stats(); a != b {
 		t.Fatalf("checkpoint usage diverged: injector %+v, fresh %+v", a, b)
+	}
+}
+
+// TestInjectorFirstInstructionAfterCheckpoint pins the tightest resume
+// geometry: a dynamic injection at snap.dyn+1 — the very first instruction
+// executed after a snapshot — must resume from that snapshot and match the
+// oracles bit for bit.
+func TestInjectorFirstInstructionAfterCheckpoint(t *testing.T) {
+	p := buildSumLoop(t)
+	g, ic := newInjectorCase(t, p, []uint64{200}, 50)
+	inj := NewInjector(p, Options{MaxDyn: ic.budget})
+	for _, snap := range g.Checkpoints.snaps {
+		// Bit 0 is valid for every result width (cmps are i1).
+		plan := fault.Plan{Mode: fault.ModeDynamic, TargetDyn: snap.dyn + 1, Bit: 0}
+		if s := g.Checkpoints.ForPlan(&plan); s != snap {
+			t.Fatalf("dyn %d: resumes from the snapshot at %v, want %d", plan.TargetDyn, s, snap.dyn)
+		}
+		got := ic.check(t, fmt.Sprintf("first-after-%d", snap.dyn), inj, g.Checkpoints, plan, 0)
+		if !got.Injected {
+			t.Fatalf("dyn %d: fault did not fire", plan.TargetDyn)
+		}
+	}
+}
+
+// TestInjectorSameDynIndexTrials: two back-to-back trials aimed at the same
+// dynamic index with deferred fault bits each draw their bit from their own
+// RNG stream, so the second trial must not inherit the first one's bit.
+func TestInjectorSameDynIndexTrials(t *testing.T) {
+	p := buildMemory(t)
+	g, ic := newInjectorCase(t, p, []uint64{30}, 40)
+	target := g.Checkpoints.snaps[0].dyn + 17
+	planRNG := xrand.New(9)
+	inj := NewInjector(p, Options{MaxDyn: ic.budget})
+	for _, seed := range []uint64{100, 200, 100} {
+		plan := fault.SampleDynamic(planRNG, g.DynCount)
+		plan.TargetDyn = target // same index, deferred bit drawn per trial
+		ic.check(t, fmt.Sprintf("same-dyn-index/seed%d", seed), inj, g.Checkpoints, plan, seed)
+	}
+}
+
+// TestInjectorEveryDynIndex sweeps every dynamic instruction of small
+// programs — including targets before the first snapshot and on the second
+// sub-instruction of a fused pair — plus one target past the program's end,
+// which never fires, on one reused injector. This is the exactness gate
+// for mid-fused-pair injections on the resume path.
+func TestInjectorEveryDynIndex(t *testing.T) {
+	for name, build := range map[string]func(testing.TB) *Program{
+		"sumloop": buildSumLoop, "memory": buildMemory, "factorial": buildFactorial,
+	} {
+		t.Run(name, func(t *testing.T) {
+			p := build(t)
+			g, ic := newInjectorCase(t, p, []uint64{16}, 11)
+			inj := NewInjector(p, Options{MaxDyn: ic.budget})
+			for d := int64(1); d <= g.DynCount+1; d++ {
+				// Bit 0 is valid for every result width (cmps are i1).
+				plan := fault.Plan{Mode: fault.ModeDynamic, TargetDyn: d, Bit: 0}
+				got := ic.check(t, fmt.Sprintf("dyn%d", d), inj, g.Checkpoints, plan, 0)
+				if got.Injected != (d <= g.DynCount) {
+					t.Fatalf("dyn%d: injected=%v in a %d-instruction run", d, got.Injected, g.DynCount)
+				}
+			}
+		})
+	}
+}
+
+// TestInjectorStaticOccurrenceSweep does the same exhaustive sweep for
+// static-mode plans: every executed occurrence of every static instruction,
+// resumed from the profiled snapshot preceding it.
+func TestInjectorStaticOccurrenceSweep(t *testing.T) {
+	p := buildSumLoop(t)
+	g, ic := newInjectorCase(t, p, []uint64{24}, 15)
+	inj := NewInjector(p, Options{MaxDyn: ic.budget})
+	resumed := 0
+	for id, n := range g.InstrCounts {
+		for occ := int64(1); occ <= n; occ++ {
+			plan := fault.Plan{Mode: fault.ModeStatic, StaticID: id, Occurrence: occ, Bit: 0}
+			if g.Checkpoints.ForPlan(&plan) != nil {
+				resumed++
+			}
+			ic.check(t, fmt.Sprintf("static%d#%d", id, occ), inj, g.Checkpoints, plan, 0)
+		}
+	}
+	if resumed == 0 {
+		t.Fatal("no static trial resumed from a snapshot")
+	}
+}
+
+// TestInjectorConcurrentSharedCheckpoints runs several injectors
+// concurrently against the SAME Checkpoints (as campaign workers do) and
+// verifies every trial against the oracles and every snapshot's pages,
+// frames and registers bit for bit afterwards. Under -race this also
+// proves restores never write shared snapshot state.
+func TestInjectorConcurrentSharedCheckpoints(t *testing.T) {
+	p := buildMemory(t)
+	g, ic := newInjectorCase(t, p, []uint64{30}, 40)
+	snaps := g.Checkpoints.snaps
+	type snapCopy struct {
+		pages  [][]uint64
+		frames []frame
+		regs   []uint64
+	}
+	before := make([]snapCopy, len(snaps))
+	for i, s := range snaps {
+		for _, pg := range s.pages {
+			before[i].pages = append(before[i].pages, append([]uint64(nil), pg...))
+		}
+		before[i].frames = append([]frame(nil), s.frames...)
+		before[i].regs = append([]uint64(nil), s.regs...)
+	}
+
+	plans := make([]fault.Plan, 32)
+	for i := range plans {
+		plans[i] = fault.SampleDynamic(xrand.New(uint64(i)+1), g.DynCount)
+	}
+	const workers = 4
+	got := make([][]*Result, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			inj := NewInjector(p, Options{MaxDyn: ic.budget})
+			for i := range plans {
+				// Each worker walks the plans from a different offset, so
+				// restores of one snapshot overlap across goroutines.
+				k := (i + w*len(plans)/workers) % len(plans)
+				got[w] = append(got[w], copyResult(inj.Run(ic.args, g.Checkpoints, &plans[k], xrand.New(uint64(k)+77))))
+			}
+		}()
+	}
+	wg.Wait()
+
+	for w := range got {
+		for i, r := range got[w] {
+			k := (i + w*len(plans)/workers) % len(plans)
+			ic.compare(t, fmt.Sprintf("worker%d/plan%d", w, k), r, plans[k], uint64(k)+77)
+		}
+	}
+	for i, s := range snaps {
+		for j, pg := range s.pages {
+			if !slices.Equal(pg, before[i].pages[j]) {
+				t.Fatalf("snapshot %d page %d mutated", i, j)
+			}
+		}
+		if !slices.Equal(s.frames, before[i].frames) || !slices.Equal(s.regs, before[i].regs) {
+			t.Fatalf("snapshot %d frames or registers mutated", i)
+		}
 	}
 }
 
@@ -199,4 +403,30 @@ func TestInjectorRejectsCampaignOptions(t *testing.T) {
 		}
 	}()
 	NewInjector(buildSumLoop(t), Options{Profile: true})
+}
+
+// TestInjectorRejectsEachCampaignOption checks that NewInjector refuses
+// every option a trial must carry itself or that the lean tail cannot
+// honour, one option at a time.
+func TestInjectorRejectsEachCampaignOption(t *testing.T) {
+	p := buildSumLoop(t)
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"Plan", Options{Plan: &fault.Plan{Mode: fault.ModeDynamic, TargetDyn: 1}}},
+		{"FaultRNG", Options{FaultRNG: xrand.New(1)}},
+		{"Profile", Options{Profile: true}},
+		{"TrackPropagation", Options{TrackPropagation: true}},
+		{"CheckpointInterval", Options{CheckpointInterval: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewInjector accepted a %s option", tc.name)
+				}
+			}()
+			NewInjector(p, tc.opts)
+		})
+	}
 }

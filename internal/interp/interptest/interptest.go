@@ -10,7 +10,7 @@
 // (quantized) output, the injectable dynamic-instruction clock and its
 // budget, trap kind and function, the sdc_detect flag, per-static-
 // instruction execution counts, and dynamic or static fault plans applied
-// through internal/fault. Taint tracking, checkpoints and batching are
+// through internal/fault. Taint tracking and checkpoints are
 // substrate features of the engine and are checked there, against runs of
 // the engine itself.
 //

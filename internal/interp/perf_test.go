@@ -60,17 +60,10 @@ func BenchmarkGoldenCheckpointed(b *testing.B) {
 }
 
 // BenchmarkOverall compares a full statistical FI campaign (overallTrials
-// single-bit trials, the paper's 1000) across the three execution models:
-// from scratch, per-trial resume from golden-prefix snapshots, and lockstep
-// batches of trials forked copy-on-write off a shared trunk. The tallies of
-// scratch and checkpointed are bit-identical; batched draws its plans from
-// per-trial RNG streams (the campaign.OverallParallel contract) so its
-// tally differs from the serial ones but is itself deterministic.
+// single-bit trials, the paper's 1000) from scratch against per-trial
+// resume from golden-prefix snapshots. The two tallies are bit-identical;
 // cmd/benchjson derives overall_speedup from the scratch/checkpointed
-// ns/op ratio and batch_speedup from checkpointed/batched. checkpointed and
-// batched classify against the same auto-spaced checkpointed golden, so
-// batch_speedup isolates the lockstep batching itself; every variant runs
-// the one fused code array.
+// ns/op ratio.
 func BenchmarkOverall(b *testing.B) {
 	b.Run("scratch", func(b *testing.B) {
 		for _, name := range prog.Names() {
@@ -93,34 +86,6 @@ func BenchmarkOverall(b *testing.B) {
 					b.Fatal(err)
 				}
 				benchmarkOverall(b, bench, g)
-			})
-		}
-	})
-	b.Run("batched", func(b *testing.B) {
-		for _, name := range prog.Names() {
-			b.Run(name, func(b *testing.B) {
-				bench := prog.Build(name)
-				g, err := campaign.NewGoldenCheckpointed(bench.Prog, bench.Encode(bench.RefInput()), bench.MaxDyn, campaign.CheckpointAuto)
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Workers: 1 keeps the comparison single-threaded: the ratio
-				// to checkpointed then isolates the batching mechanics
-				// (shared trunk + COW forks + lean tail loop), not thread
-				// parallelism.
-				before := g.CheckpointStats()
-				var c campaign.Counts
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					c = campaign.OverallParallel(bench.Prog, g, overallTrials, campaign.ParallelOptions{
-						Workers: 1, Seed: 1, BatchSize: 64,
-					})
-				}
-				b.StopTimer()
-				after := g.CheckpointStats()
-				b.ReportMetric(float64(c.DynInstrs), "dyn/op")
-				b.ReportMetric(float64(after.SkippedDyn-before.SkippedDyn)/float64(b.N), "skipped/op")
-				b.ReportMetric(float64(after.Batches-before.Batches)/float64(b.N), "batches/op")
 			})
 		}
 	})

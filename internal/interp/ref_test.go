@@ -8,7 +8,7 @@ import (
 
 // Helpers that check the engine against the reference interpreter in
 // internal/interp/interptest. They live in package interp so the
-// white-box suites (fusion, batch, checkpoint) and the external
+// white-box suites (fusion, injector, checkpoint) and the external
 // benchmark-level suite share one definition of "same behaviour".
 
 // refRun executes p's module on the reference interpreter with the same

@@ -53,7 +53,7 @@ func BenchmarkServiceShard(b *testing.B) {
 						for sh := 0; sh < shards; sh++ {
 							lo, hi := campaign.ShardRange(benchTrials, sh, shards)
 							c := campaign.OverallShard(bench.Prog, g, lo, hi, campaign.ParallelOptions{
-								Workers: 1, Seed: 17, BatchSize: 64,
+								Workers: 1, Seed: 17,
 							})
 							total += c.DynInstrs
 							if c.DynInstrs > crit {

@@ -46,7 +46,7 @@ type JobSpec struct {
 	// is the spend cap, for sensitivity jobs the profile-pass budget.
 	Trials int `json:"trials,omitempty"`
 	// Seed derives every trial's RNG stream; identical specs yield
-	// bit-identical results at any shard/worker/batch configuration.
+	// bit-identical results at any shard/worker configuration.
 	Seed uint64 `json:"seed,omitempty"`
 	// FaultModel names the fault model campaign trials corrupt with
 	// (fault.ModelNames; "" = the single-bit-flip default). Campaign and
@@ -55,10 +55,12 @@ type JobSpec struct {
 	// default model (the stratified estimator's heat ranking is measured
 	// under single flips).
 	FaultModel string `json:"fault_model,omitempty"`
-	// Workers and Batch configure each shard's execution substrate
+	// Workers fans each shard's trials across goroutines
 	// (campaign.ParallelOptions semantics).
 	Workers int `json:"workers,omitempty"`
-	Batch   int `json:"batch,omitempty"`
+	// Deprecated: ignored, apart from admission rejecting a negative
+	// value; it stays so specs that still send "batch" decode.
+	Batch int `json:"batch,omitempty"`
 	// Shards splits campaign trials into contiguous ranges run concurrently
 	// in-process or on peer workers (0: the server default).
 	Shards int `json:"shards,omitempty"`
@@ -251,7 +253,6 @@ func (s *Server) runCampaign(ctx context.Context, spec *JobSpec, be *benchEntry,
 		ar := campaign.OverallAdaptive(be.b.Prog, g, campaign.AdaptiveOptions{
 			Workers:   spec.Workers,
 			Seed:      spec.Seed,
-			BatchSize: spec.Batch,
 			CITarget:  spec.CITarget,
 			MaxTrials: spec.Trials,
 			Ctx:       ctx,
@@ -295,7 +296,6 @@ func (s *Server) runSensitivity(ctx context.Context, spec *JobSpec, be *benchEnt
 		Trials:    spec.Trials,
 		Threshold: spec.ComposeThreshold,
 		Workers:   spec.Workers,
-		BatchSize: spec.Batch,
 		Seed:      spec.Seed,
 		Model:     model,
 		Trace:     tr,
@@ -344,7 +344,6 @@ func (s *Server) runSearch(ctx context.Context, spec *JobSpec, be *benchEntry, m
 		return err
 	}
 	opts.Workers = spec.Workers
-	opts.BatchSize = spec.Batch
 	opts.CheckpointInterval = spec.CheckpointInterval
 	opts.CITarget = spec.CITarget
 	opts.Compose = spec.Compose

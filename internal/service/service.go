@@ -11,6 +11,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -211,6 +212,21 @@ func (s *Server) admit() (release func(), status int, err error) {
 	}, 0, nil
 }
 
+// maxRequestBytes caps the body of a /jobs or /shard request. Real specs
+// are a few hundred bytes; the cap only stops a client from making the
+// server buffer an unbounded body.
+const maxRequestBytes = 1 << 20
+
+// decodeStatus maps a request-body decoding error to its HTTP status: 413
+// for a body past maxRequestBytes, 400 for anything else.
+func decodeStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // handleJobs is the job submission endpoint: validate, queue, execute,
 // stream.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -219,10 +235,10 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		http.Error(w, "bad job spec: "+err.Error(), http.StatusBadRequest)
+		http.Error(w, "bad job spec: "+err.Error(), decodeStatus(err))
 		return
 	}
 	if err := s.normalize(&spec); err != nil {

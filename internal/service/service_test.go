@@ -308,20 +308,24 @@ func TestServiceValidation(t *testing.T) {
 	}
 
 	// Malformed inputs and negative counts are refused with a 400 naming
-	// the field, before the job reaches the golden cache.
-	for _, c := range []struct{ body, field string }{
-		{`{"bench":"pathfinder","input":[1,2]}`, "input"},
-		{`{"bench":"pathfinder","input":[20,20,7,1e300]}`, "input[3]"},
-		{`{"bench":"pathfinder","input":[-5,20,7,10]}`, "input[0]"},
-		{`{"bench":"pathfinder","trials":-3}`, "trials"},
-		{`{"kind":"search","bench":"needle","trials_per_rep":-1}`, "trials_per_rep"},
-		{`{"kind":"search","bench":"needle","generations":-1}`, "generations"},
-		{`{"kind":"search","bench":"needle","pop_size":-1}`, "pop_size"},
-		{`{"bench":"needle","shards":-2}`, "shards"},
-		{`{"bench":"needle","workers":-1}`, "workers"},
-		{`{"bench":"needle","batch":-8}`, "batch"},
+	// the field, before the job reaches the golden cache. A peer's /shard
+	// request keys the same golden memo, so its input is checked the same
+	// way.
+	for _, c := range []struct{ path, body, field string }{
+		{"/jobs", `{"bench":"pathfinder","input":[1,2]}`, "input"},
+		{"/jobs", `{"bench":"pathfinder","input":[20,20,7,1e300]}`, "input[3]"},
+		{"/jobs", `{"bench":"pathfinder","input":[-5,20,7,10]}`, "input[0]"},
+		{"/jobs", `{"bench":"pathfinder","trials":-3}`, "trials"},
+		{"/jobs", `{"kind":"search","bench":"needle","trials_per_rep":-1}`, "trials_per_rep"},
+		{"/jobs", `{"kind":"search","bench":"needle","generations":-1}`, "generations"},
+		{"/jobs", `{"kind":"search","bench":"needle","pop_size":-1}`, "pop_size"},
+		{"/jobs", `{"bench":"needle","shards":-2}`, "shards"},
+		{"/jobs", `{"bench":"needle","workers":-1}`, "workers"},
+		{"/jobs", `{"bench":"needle","batch":-8}`, "batch"},
+		{"/shard", `{"bench":"pathfinder","input":[1,2],"lo":0,"hi":4}`, "input"},
+		{"/shard", `{"bench":"pathfinder","input":[20,20,7,1e300],"lo":0,"hi":4}`, "input[3]"},
 	} {
-		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(c.body))
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +333,7 @@ func TestServiceValidation(t *testing.T) {
 		resp.Body.Close()
 		named := strings.HasPrefix(string(msg), c.field+" ") || strings.HasPrefix(string(msg), c.field+":")
 		if resp.StatusCode != http.StatusBadRequest || !named {
-			t.Errorf("%s: status %d, body %q; want 400 naming %q", c.body, resp.StatusCode, msg, c.field)
+			t.Errorf("%s %s: status %d, body %q; want 400 naming %q", c.path, c.body, resp.StatusCode, msg, c.field)
 		}
 	}
 	// JSON cannot carry non-finite numbers, but in-process specs can.
@@ -338,6 +342,29 @@ func TestServiceValidation(t *testing.T) {
 		if err := s.normalize(&spec); err == nil || !strings.HasPrefix(err.Error(), "input[1] ") {
 			t.Errorf("input with %v: err %v, want one naming input[1]", v, err)
 		}
+	}
+}
+
+// TestServiceOversizedBody: a /jobs or /shard body past maxRequestBytes is
+// refused with 413 without being buffered, and the server keeps serving.
+func TestServiceOversizedBody(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	// Well-formed JSON, so only the size cap can make decoding fail.
+	huge := `{"bench":"pathfinder","input":[` + strings.Repeat("1,", maxRequestBytes) + `1]}`
+	for _, path := range []string{"/jobs", "/shard"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized body got status %d, want 413", path, resp.StatusCode)
+		}
+	}
+	res := submit(t, ts, &JobSpec{Kind: KindCampaign, Bench: "pathfinder", Trials: 20, Seed: 1})
+	if res.Counts.Trials != 20 {
+		t.Fatalf("job after oversized bodies ran %d trials, want 20", res.Counts.Trials)
 	}
 }
 

@@ -5,8 +5,8 @@ package service
 // either in-process (campaign.OverallShard) or on a peer peppaxd -worker via
 // POST /shard. Because every trial's RNG derives from (seed, global trial
 // index) alone, the merged tally is bit-identical to the single-process
-// campaign at any shard count, worker count, or batch size — the wire
-// protocol moves only Counts, never RNG state.
+// campaign at any shard count or worker count — the wire protocol moves
+// only Counts, never RNG state.
 
 import (
 	"bytes"
@@ -33,7 +33,6 @@ type ShardRequest struct {
 	Lo                 int    `json:"lo"`
 	Hi                 int    `json:"hi"`
 	Workers            int    `json:"workers,omitempty"`
-	Batch              int    `json:"batch,omitempty"`
 	// FaultModel names the fault model every trial samples from
 	// (fault.ModelNames; "" = the single-bit-flip default). Coordinator and
 	// worker must agree or the merged tally loses bit-identity, so it rides
@@ -67,11 +66,10 @@ func (s *Server) runFlatCampaign(ctx context.Context, spec *JobSpec, be *benchEn
 		shards = trials
 	}
 	popts := campaign.ParallelOptions{
-		Workers:   spec.Workers,
-		Seed:      spec.Seed,
-		BatchSize: spec.Batch,
-		Ctx:       ctx,
-		Model:     model,
+		Workers: spec.Workers,
+		Seed:    spec.Seed,
+		Ctx:     ctx,
+		Model:   model,
 	}
 
 	if shards == 1 && len(s.cfg.Peers) == 0 {
@@ -132,7 +130,6 @@ func (s *Server) dispatchShard(ctx context.Context, peer string, spec *JobSpec, 
 		Lo:                 lo,
 		Hi:                 hi,
 		Workers:            spec.Workers,
-		Batch:              spec.Batch,
 		FaultModel:         spec.FaultModel,
 		GoldenDyn:          g.DynCount,
 	})
@@ -174,8 +171,8 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var sr ShardRequest
-	if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
-		http.Error(w, "bad shard request: "+err.Error(), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&sr); err != nil {
+		http.Error(w, "bad shard request: "+err.Error(), decodeStatus(err))
 		return
 	}
 	if !s.names[sr.Bench] {
@@ -192,6 +189,15 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	be := s.cache.bench(sr.Bench)
+	// The input keys the shared golden memo, so it is checked exactly as
+	// job admission checks it: a wrong arity would otherwise panic while
+	// encoding inside the memo.
+	if len(sr.Input) == 0 {
+		sr.Input = be.b.RefInput()
+	} else if err := validateInput(be.b, sr.Input); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	ge, _, err := s.cache.golden(be, sr.Input, sr.CheckpointInterval, sr.FaultModel)
 	s.publishCacheMetrics()
 	if err != nil {
@@ -199,11 +205,10 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c := campaign.OverallShard(be.b.Prog, ge.g, sr.Lo, sr.Hi, campaign.ParallelOptions{
-		Workers:   sr.Workers,
-		Seed:      sr.Seed,
-		BatchSize: sr.Batch,
-		Ctx:       r.Context(),
-		Model:     model,
+		Workers: sr.Workers,
+		Seed:    sr.Seed,
+		Ctx:     r.Context(),
+		Model:   model,
 	})
 	s.rec.Count("service.shard.trials", int64(c.Trials))
 	s.rec.Count("service.shard.dyn", c.DynInstrs)
