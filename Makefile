@@ -23,9 +23,9 @@ test-short:
 # Race-detect the internal packages; -short skips the FI-heavy validity
 # tests but keeps every parallel-layer test (worker-count equivalence, the
 # shared-RNG tripwire) and the checkpoint/injector suite — campaign workers
-# restore their reused Injectors from shared copy-on-write snapshot pages
-# concurrently, so the Checkpoint|RunFrom|Snapshot|Injector tests must stay
-# inside the race scope.
+# restore their reused Injectors from shared snapshot pages concurrently, so
+# the Checkpoint|RunFrom|Snapshot|Injector tests must stay inside the race
+# scope.
 race:
 	$(GO) test -race -short ./internal/...
 
@@ -39,10 +39,12 @@ bench-workers:
 
 # Checkpointed-execution equivalence gate: every resumed FI trial, and
 # every trial of a reused Injector, must be bit-identical to a from-scratch
-# one, at the interpreter, campaign and parallel layers; the Injector tests
-# also gate the serial trial path's steady-state allocations. The gate
-# fails if the regex stops matching any test in either package (go test
-# would otherwise report "no tests to run" and pass).
+# one, at the interpreter, campaign and parallel layers; snapshot pages are
+# shared exactly when their contents are equal, taint runs reject
+# profiling and checkpointing, and the Injector tests also gate the serial
+# trial path's steady-state allocations. The gate fails if the regex stops
+# matching any test in either package (go test would otherwise report "no
+# tests to run" and pass).
 test-checkpoint:
 	@re='Checkpoint|RunFrom|Snapshot|Injector'; \
 	for pkg in ./internal/interp ./internal/campaign; do \
@@ -61,11 +63,13 @@ bench-fi:
 	$(GO) run ./cmd/benchjson < BENCH_fi.txt > BENCH_fi.json
 	@echo "wrote BENCH_fi.json"
 
-# CI bench-regression gate: re-run the bench-fi suite once (-benchtime=1x
-# keeps it fast) and fail if any per-benchmark speedup in the committed
-# BENCH_fi.json regressed by more than TOLERANCE. Speedup ratios cancel
-# absolute host speed, so the committed baseline is comparable across
-# machines.
+# CI bench-regression gate: re-run the bench-fi, bench-compose and
+# bench-shard suites once (-benchtime=1x keeps it fast) and fail if any
+# per-benchmark speedup in the committed BENCH_*.json regressed by more than
+# TOLERANCE, or if the dyn/op or skipped/op of any benchmark present in
+# both reports differs at all. Speedup ratios cancel absolute host speed,
+# and the two metrics count instructions, so the committed baselines are
+# comparable across machines.
 TOLERANCE ?= 0.15
 bench-regression:
 	$(GO) test -run='^$$' -bench='Benchmark(Overall|Golden)' -benchtime=1x \
@@ -81,9 +85,10 @@ bench-regression:
 	$(GO) run ./cmd/benchjson < BENCH_shard.new.txt > BENCH_shard.new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_shard.json BENCH_shard.new.json -tolerance $(TOLERANCE)
 
-# Profiling fast-path equivalence gate: profiled runs, block-counting
-# Profiler runs and faulted runs of the fused engine must be bit-identical
-# to the test-only reference interpreter (internal/interp/interptest) —
+# Engine equivalence gate: profiled runs, block-counting Profiler runs and
+# faulted runs, all on the one production loop (runFast) over the fused
+# code, must be bit-identical to the test-only reference interpreter
+# (internal/interp/interptest) —
 # outputs, dynamic counts, traps, per-instruction vectors, injection sites —
 # at the interpreter, benchmark and full-pipeline layers — plus the search's
 # single-flight fitness memo (one profiled run per distinct candidate, every
@@ -98,11 +103,10 @@ test-fusion:
 	done; \
 	$(GO) test -count=1 -run "$$re" ./internal/interp ./internal/core
 
-# Measure one GA candidate evaluation as a per-instruction profiled run
-# plus count-vector fold (perinstr) vs the block-counting fused fast path,
-# and render the machine-readable BENCH_fitness.json artifact
-# (per-benchmark ns/op, dyn/op, allocs/op, and the perinstr/fused speedup
-# with its geomean).
+# Measure one GA candidate evaluation on the block-counting fused path
+# (core.FitnessEval over a reused Profiler) and render the
+# machine-readable BENCH_fitness.json artifact (per-benchmark ns/op,
+# dyn/op and allocs/op).
 bench-fitness:
 	$(GO) test -run='^$$' -bench=BenchmarkFitnessProfile -benchtime=200x \
 		./internal/interp | tee BENCH_fitness.txt
@@ -170,7 +174,9 @@ test-service:
 # bit-identical at workers 1/4 × shards 1/2; the default
 # single-flip path pinned byte-identical to the pre-interface behaviour),
 # and a bounded native-fuzzing run of the engine against the reference
-# interpreter on random verified modules (failing inputs land in
+# interpreter on random verified modules — profiled, profiler, checkpointed
+# golden, and per plan a fresh trial, an Injector trial resumed from the
+# golden's snapshots and a taint-tracking trial (failing inputs land in
 # internal/interp/testdata/fuzz as regression fixtures).
 test-fuzz:
 	$(GO) test -count=1 ./internal/fuzz
@@ -255,8 +261,8 @@ test-telemetry:
 # /metrics while it executes. Leaves heat-w1.jsonl behind as a sample
 # artifact.
 test-observability:
-	$(GO) test -count=1 -run 'Prom|Metrics|Heat|DropsAndCounts|Freezes|FitnessUniform|NormalizeUniform|Geomean' \
-		./internal/telemetry ./internal/core ./internal/stats ./cmd/benchjson ./cmd/peppax
+	$(GO) test -count=1 -run 'Prom|Metrics|Heat|DropsAndCounts|Freezes|FitnessUniform|NormalizeUniform' \
+		./internal/telemetry ./internal/core ./internal/stats ./cmd/peppax
 	$(GO) build -o bin/peppax ./cmd/peppax
 	./bin/peppax -bench pathfinder -generations 3 -pop 4 -trials 40 \
 		-rep-trials 4 -seed 7 -checkpoints 1,3 -baseline -heat-topk 8 \

@@ -3,12 +3,9 @@
 // custom metrics such as dyn/op, skipped/op and allocs/op) and derived
 // speedup tables — for the BenchmarkOverall scratch/checkpointed pairs the
 // per-program campaign speedup of golden-prefix checkpointing
-// (BENCH_fi.json), for the BenchmarkFitnessProfile
-// perinstr/fused pairs the per-program and geomean speedup of the fused
-// profiling fast path (BENCH_fitness.json), and for the
-// BenchmarkSensitivityCompose scratch/incremental pairs the dyn/op-based
-// FI-spend saving of compositional sensitivity derivation
-// (BENCH_compose.json).
+// (BENCH_fi.json), and for the BenchmarkSensitivityCompose
+// scratch/incremental pairs the dyn/op-based FI-spend saving of
+// compositional sensitivity derivation (BENCH_compose.json).
 //
 // Usage:
 //
@@ -19,7 +16,8 @@
 // With -compare it acts as the CI bench-regression gate instead of a
 // converter: it reads two previously generated reports and exits non-zero
 // when any per-benchmark speedup present in both files regressed by more
-// than -tolerance (a fraction; 0.15 allows a 15% drop):
+// than -tolerance (a fraction; 0.15 allows a 15% drop), or when dyn/op or
+// skipped/op of any benchmark present in both files differs at all:
 //
 //	benchjson -compare BENCH_fi.json BENCH_fi.new.json -tolerance 0.15
 package main
@@ -52,14 +50,6 @@ type Report struct {
 	// OverallSpeedup maps each program benchmark to
 	// scratch ns/op ÷ checkpointed ns/op for BenchmarkOverall.
 	OverallSpeedup map[string]float64 `json:"overall_speedup,omitempty"`
-	// FitnessSpeedup maps each program benchmark to perinstr ns/op ÷
-	// fused ns/op for BenchmarkFitnessProfile, plus a "geomean" entry —
-	// the speedup of the fused profiling fast path over a per-instruction
-	// profiled run plus count-vector fold. The geomean entry is null (with
-	// a warning on stderr) when no positive finite speedup exists to
-	// average — committing NaN or -Inf into a BENCH artifact would poison
-	// every downstream consumer of the file.
-	FitnessSpeedup map[string]*float64 `json:"fitness_speedup,omitempty"`
 	// ComposeSpeedup maps each program benchmark to scratch dyn/op ÷
 	// incremental dyn/op for BenchmarkSensitivityCompose — the FI-spend
 	// saving of composing cached per-segment profiles across a GA-like
@@ -125,19 +115,27 @@ func cli(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "benchjson: unexpected arguments %v (bench output is read from stdin)\n", files)
 		return 2
 	}
-	if err := run(stdin, stdout, stderr); err != nil {
+	if err := run(stdin, stdout); err != nil {
 		fmt.Fprintln(stderr, "benchjson:", err)
 		return 1
 	}
 	return 0
 }
 
+// exactMetrics are the per-iteration deterministic metrics: a benchmark's
+// dyn/op (dynamic instructions interpreted) and skipped/op (golden-prefix
+// instructions the snapshot schedule saved) do not depend on the host or
+// the iteration count, so any difference is a change in what the program
+// executes, never noise.
+var exactMetrics = []string{"dyn/op", "skipped/op"}
+
 // compareReports is the CI bench-regression gate: every per-benchmark
 // speedup present in the old report must still exist in the new one and be
 // no worse than old×(1−tolerance). Speedup ratios are used rather than raw
 // ns/op because both sides of each ratio ran on the same machine, so the
 // ratio cancels absolute host-speed differences between the committed
-// baseline and the CI runner.
+// baseline and the CI runner. The exactMetrics of every benchmark present
+// in both reports (matched without the -GOMAXPROCS suffix) must be equal.
 func compareReports(oldPath, newPath string, tolerance float64, out io.Writer) (bool, error) {
 	oldRep, err := loadReport(oldPath)
 	if err != nil {
@@ -177,10 +175,42 @@ func compareReports(oldPath, newPath string, tolerance float64, out io.Writer) (
 	check("compose_speedup", oldRep.ComposeSpeedup, newRep.ComposeSpeedup)
 	check("shard_speedup", oldRep.ShardSpeedup, newRep.ShardSpeedup)
 	check("cache_elimination", oldRep.CacheElimination, newRep.CacheElimination)
+	newBench := make(map[string]Benchmark, len(newRep.Benchmarks))
+	for _, b := range newRep.Benchmarks {
+		newBench[trimProcs(b.Name)] = b
+	}
+	matched := 0
+	for _, ob := range oldRep.Benchmarks {
+		name := trimProcs(ob.Name)
+		nb, present := newBench[name]
+		if !present {
+			continue
+		}
+		matched++
+		for _, m := range exactMetrics {
+			want, inOld := ob.Metrics[m]
+			got, inNew := nb.Metrics[m]
+			if inOld != inNew || want != got {
+				fmt.Fprintf(out, "FAIL %s %s: %s → %s (deterministic; must match exactly)\n",
+					name, m, metricString(want, inOld), metricString(got, inNew))
+				ok = false
+			}
+		}
+	}
+	fmt.Fprintf(out, "exact %s checked on %d benchmarks present in both reports\n",
+		strings.Join(exactMetrics, ", "), matched)
 	if ok {
 		fmt.Fprintln(out, "bench-regression gate passed")
 	}
 	return ok, nil
+}
+
+// metricString renders a metric value, or "absent".
+func metricString(v float64, present bool) string {
+	if !present {
+		return "absent"
+	}
+	return strconv.FormatFloat(v, 'f', -1, 64)
 }
 
 func loadReport(path string) (*Report, error) {
@@ -195,7 +225,7 @@ func loadReport(path string) (*Report, error) {
 	return &rep, nil
 }
 
-func run(in io.Reader, out, errw io.Writer) error {
+func run(in io.Reader, out io.Writer) error {
 	rep := Report{Env: map[string]string{}}
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -222,7 +252,6 @@ func run(in io.Reader, out, errw io.Writer) error {
 		return fmt.Errorf("no benchmark lines on stdin")
 	}
 	rep.OverallSpeedup = speedups(rep.Benchmarks)
-	rep.FitnessSpeedup = fitnessSpeedups(rep.Benchmarks, errw)
 	rep.ComposeSpeedup = composeSpeedups(rep.Benchmarks)
 	rep.ShardSpeedup = shardSpeedups(rep.Benchmarks)
 	rep.CacheElimination = cacheEliminations(rep.Benchmarks)
@@ -350,35 +379,4 @@ func cacheEliminations(benches []Benchmark) map[string]float64 {
 // and reports their ns/op ratios.
 func speedups(benches []Benchmark) map[string]float64 {
 	return ratios(benches, "BenchmarkOverall/scratch/", "BenchmarkOverall/checkpointed/")
-}
-
-// fitnessSpeedups pairs BenchmarkFitnessProfile/perinstr/<prog> with
-// .../fused/<prog> and adds the geometric-mean speedup across programs.
-// Only positive finite speedups enter the geomean; if none exist (an empty
-// or zero-valued set — e.g. a 0 ns/op numerator from a degenerate bench
-// run), the geomean entry is explicitly null and a warning goes to errw,
-// instead of exp(log(0)) artifacts landing in committed BENCH JSON.
-func fitnessSpeedups(benches []Benchmark, errw io.Writer) map[string]*float64 {
-	r := ratios(benches, "BenchmarkFitnessProfile/perinstr/", "BenchmarkFitnessProfile/fused/")
-	if r == nil {
-		return nil
-	}
-	out := make(map[string]*float64, len(r)+1)
-	logSum, n := 0.0, 0
-	for p, s := range r {
-		s := s
-		out[p] = &s
-		if s > 0 && !math.IsInf(s, 0) && !math.IsNaN(s) {
-			logSum += math.Log(s)
-			n++
-		}
-	}
-	if n == 0 {
-		fmt.Fprintln(errw, "benchjson: warning: no positive finite fitness speedups; geomean is null")
-		out["geomean"] = nil
-		return out
-	}
-	g := math.Round(math.Exp(logSum/float64(n))*100) / 100
-	out["geomean"] = &g
-	return out
 }

@@ -26,8 +26,8 @@ ok  	repro/internal/interp	6.080s
 `
 
 func TestRun(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if err := run(strings.NewReader(sample), &out, &errOut); err != nil {
+	var out bytes.Buffer
+	if err := run(strings.NewReader(sample), &out); err != nil {
 		t.Fatal(err)
 	}
 	var rep Report
@@ -51,85 +51,9 @@ func TestRun(t *testing.T) {
 	}
 }
 
-const fitnessSample = `goos: linux
-BenchmarkFitnessProfile/perinstr/pathfinder-8    100	  200000 ns/op	   16704 dyn/op	  36416 B/op	       8 allocs/op
-BenchmarkFitnessProfile/perinstr/hpccg-8         100	 1600000 ns/op	   90769 dyn/op	  37264 B/op	      11 allocs/op
-BenchmarkFitnessProfile/block/pathfinder-8       100	  130000 ns/op	   16704 dyn/op	      0 B/op	       0 allocs/op
-BenchmarkFitnessProfile/fused/pathfinder-8       100	  100000 ns/op	   16704 dyn/op	      0 B/op	       0 allocs/op
-BenchmarkFitnessProfile/fused/hpccg-8            100	  640000 ns/op	   90769 dyn/op	      0 B/op	       0 allocs/op
-PASS
-`
-
-func TestRunFitnessSpeedup(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if err := run(strings.NewReader(fitnessSample), &out, &errOut); err != nil {
-		t.Fatal(err)
-	}
-	var rep Report
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, out.String())
-	}
-	deref := func(name string) float64 {
-		p := rep.FitnessSpeedup[name]
-		if p == nil {
-			t.Fatalf("%s fitness speedup is null", name)
-		}
-		return *p
-	}
-	if got := deref("pathfinder"); got != 2 {
-		t.Fatalf("pathfinder fitness speedup = %v, want 2", got)
-	}
-	if got := deref("hpccg"); got != 2.5 {
-		t.Fatalf("hpccg fitness speedup = %v, want 2.5", got)
-	}
-	// geomean of 2 and 2.5 is sqrt(5) ≈ 2.24.
-	if got := deref("geomean"); got < 2.23 || got > 2.25 {
-		t.Fatalf("geomean = %v, want ~2.24", got)
-	}
-	if rep.OverallSpeedup != nil {
-		t.Fatalf("unexpected overall speedups: %v", rep.OverallSpeedup)
-	}
-	if errOut.Len() != 0 {
-		t.Fatalf("unexpected warning: %s", errOut.String())
-	}
-}
-
-// A zero-valued speedup set (a 0 ns/op numerator can come out of a
-// degenerate bench run) must produce an explicit null geomean and a
-// warning, never NaN/-Inf in the JSON artifact.
-const zeroFitnessSample = `goos: linux
-BenchmarkFitnessProfile/perinstr/pathfinder-8    100	  0 ns/op
-BenchmarkFitnessProfile/fused/pathfinder-8       100	  100000 ns/op
-PASS
-`
-
-func TestRunFitnessGeomeanNullOnZeroSpeedups(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if err := run(strings.NewReader(zeroFitnessSample), &out, &errOut); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out.String(), "NaN") || strings.Contains(out.String(), "Inf") {
-		t.Fatalf("non-finite value leaked into JSON:\n%s", out.String())
-	}
-	var rep Report
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, out.String())
-	}
-	g, ok := rep.FitnessSpeedup["geomean"]
-	if !ok || g != nil {
-		t.Fatalf("geomean = %v (present=%v), want explicit null", g, ok)
-	}
-	if !strings.Contains(errOut.String(), "geomean is null") {
-		t.Fatalf("missing warning, stderr: %q", errOut.String())
-	}
-	if !strings.Contains(out.String(), `"geomean": null`) {
-		t.Fatalf("geomean not rendered as null:\n%s", out.String())
-	}
-}
-
 func TestRunEmpty(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if err := run(strings.NewReader("PASS\n"), &out, &errOut); err == nil {
+	var out bytes.Buffer
+	if err := run(strings.NewReader("PASS\n"), &out); err == nil {
 		t.Fatal("expected error for input without benchmark lines")
 	}
 }
@@ -145,8 +69,8 @@ PASS
 `
 
 func TestRunComposeSpeedup(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if err := run(strings.NewReader(composeSample), &out, &errOut); err != nil {
+	var out bytes.Buffer
+	if err := run(strings.NewReader(composeSample), &out); err != nil {
 		t.Fatal(err)
 	}
 	var rep Report
@@ -159,7 +83,7 @@ func TestRunComposeSpeedup(t *testing.T) {
 	if got := rep.ComposeSpeedup["needle"]; got != 0.5 {
 		t.Fatalf("needle compose speedup = %v, want 0.5", got)
 	}
-	if rep.OverallSpeedup != nil || rep.FitnessSpeedup != nil {
+	if rep.OverallSpeedup != nil || rep.ShardSpeedup != nil {
 		t.Fatalf("unexpected unrelated speedups: %+v", rep)
 	}
 }
@@ -176,8 +100,8 @@ PASS
 `
 
 func TestRunShardSpeedupAndCacheElimination(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if err := run(strings.NewReader(shardSample), &out, &errOut); err != nil {
+	var out bytes.Buffer
+	if err := run(strings.NewReader(shardSample), &out); err != nil {
 		t.Fatal(err)
 	}
 	var rep Report
@@ -295,5 +219,63 @@ func TestCompareToleranceFlagAfterPositionals(t *testing.T) {
 	}
 	if code, log := runCompare(t, oldRep, newRep, "-tolerance", "0.5"); code != 0 {
 		t.Fatalf("-tolerance 0.5 after positionals should pass, exited %d:\n%s", code, log)
+	}
+}
+
+// exactReport is a BENCH_fi-style report whose dyn/op and skipped/op can be
+// perturbed; benchmark names carry a GOMAXPROCS suffix, which the exact
+// check strips before matching.
+func exactReport(procs string, dyn, skipped float64) Report {
+	return Report{
+		Benchmarks: []Benchmark{
+			{Name: "BenchmarkGoldenRun/pathfinder-" + procs, NsPerOp: 1e6,
+				Metrics: map[string]float64{"dyn/op": 16704}},
+			{Name: "BenchmarkOverall/checkpointed/pathfinder-" + procs, NsPerOp: 7e7,
+				Metrics: map[string]float64{"dyn/op": dyn, "skipped/op": skipped}},
+		},
+		OverallSpeedup: map[string]float64{"pathfinder": 2.2},
+	}
+}
+
+func TestCompareExactMetricsPass(t *testing.T) {
+	// Different hosts and GOMAXPROCS: ns/op and names differ, the
+	// deterministic metrics do not.
+	newRep := exactReport("8", 14139045, 8156250)
+	newRep.Benchmarks[1].NsPerOp = 9e7
+	newRep.Benchmarks = append(newRep.Benchmarks, Benchmark{Name: "BenchmarkGoldenRun/fft-8",
+		Metrics: map[string]float64{"dyn/op": 1}}) // only in the new report: not compared
+	code, log := runCompare(t, exactReport("2", 14139045, 8156250), newRep)
+	if code != 0 {
+		t.Fatalf("identical deterministic metrics failed the gate (exit %d):\n%s", code, log)
+	}
+	if !strings.Contains(log, "exact dyn/op, skipped/op checked on 2 benchmarks") {
+		t.Fatalf("exact check did not match both benchmarks across GOMAXPROCS suffixes:\n%s", log)
+	}
+}
+
+func TestCompareExactMetricMismatch(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		newRep  Report
+		failure string
+	}{
+		{"dyn", exactReport("2", 14139046, 8156250), "FAIL BenchmarkOverall/checkpointed/pathfinder dyn/op: 14139045 → 14139046"},
+		{"skipped", exactReport("2", 14139045, 8156249), "FAIL BenchmarkOverall/checkpointed/pathfinder skipped/op: 8156250 → 8156249"},
+		{"absent", func() Report {
+			r := exactReport("2", 14139045, 8156250)
+			delete(r.Benchmarks[1].Metrics, "skipped/op")
+			return r
+		}(), "skipped/op: 8156250 → absent"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The speedup is unchanged, so only the exact check can fail.
+			code, log := runCompare(t, exactReport("2", 14139045, 8156250), tc.newRep)
+			if code == 0 {
+				t.Fatalf("a deterministic metric mismatch passed the gate:\n%s", log)
+			}
+			if !strings.Contains(log, tc.failure) {
+				t.Fatalf("missing failure line %q:\n%s", tc.failure, log)
+			}
+		})
 	}
 }

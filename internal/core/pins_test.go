@@ -6,10 +6,12 @@ import (
 	"hash/fnv"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/fault"
 	"repro/internal/interp"
 	"repro/internal/prog"
 	"repro/internal/xrand"
@@ -94,6 +96,7 @@ func renderEnginePins(t *testing.T, name string) string {
 	for _, r := range campaign.PerInstruction(b.Prog, g, pinIDs(g, 8), 10, xrand.New(1)) {
 		line("perinstr id=%d %+v", r.ID, r.Counts)
 	}
+	line("checkpoints %s", checkpointPins(g))
 
 	// The label names a batch size the campaign no longer takes; it is kept
 	// so the pin file stays byte-stable.
@@ -121,6 +124,28 @@ func renderEnginePins(t *testing.T, name string) string {
 	return sb.String()
 }
 
+// checkpointPins renders a checkpointed golden's snapshot schedule (count,
+// interval and an FNV-1a digest of the snapshot dyn list) and its usage
+// counters. The dyn list is walked back from the last snapshot through
+// ForPlan, which leaves the counters untouched.
+func checkpointPins(g *campaign.Golden) string {
+	c := g.Checkpoints
+	var dyns []int64
+	for s := c.ForPlan(&fault.Plan{Mode: fault.ModeDynamic, TargetDyn: math.MaxInt64}); s != nil; s = c.ForPlan(&fault.Plan{Mode: fault.ModeDynamic, TargetDyn: s.Dyn()}) {
+		dyns = append(dyns, s.Dyn())
+	}
+	slices.Reverse(dyns)
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, d := range dyns {
+		binary.LittleEndian.PutUint64(buf[:], uint64(d))
+		h.Write(buf[:])
+	}
+	st := g.CheckpointStats()
+	return fmt.Sprintf("snapshots=%d interval=%d dyns=%016x restored=%d scratch=%d skipped_dyn=%d",
+		st.Snapshots, st.Interval, h.Sum64(), st.Restored, st.Scratch, st.SkippedDyn)
+}
+
 // hashHistory folds a search's per-generation FitnessHistory bits and
 // charged SearchDynHistory into one FNV-1a digest.
 func hashHistory(res *Result) uint64 {
@@ -139,7 +164,8 @@ func hashHistory(res *Result) uint64 {
 
 // TestEnginePins reproduces, byte for byte, outputs recorded for all ten
 // kernels: golden DynCount and output/count digests, Overall (200 trials,
-// seed 1), PerInstruction (8 ids × 10 static-plan trials),
+// seed 1), PerInstruction (8 ids × 10 static-plan trials), the golden's
+// snapshot schedule and checkpoint usage after those two campaigns,
 // OverallParallel on a checkpointed and an uncheckpointed golden, and a
 // three-generation Search at seed 2026: its best input, closing campaign,
 // evaluation count, charged search cost and a digest of its fitness and

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -18,10 +19,13 @@ import (
 // before its injection point and produces bit-identical results (outcome,
 // injected ID/bit, dynamic count, output) at a fraction of the work.
 //
-// Memory is captured copy-on-write at page granularity: the checkpointed
-// run tracks written pages, and each snapshot shares every untouched page
-// with its predecessor, so snapshot cost scales with the write set rather
-// than the footprint.
+// Snapshots are recorded by runFast's trip at the first dispatch slot
+// boundary after each interval, so a snapshot never splits a fused pair or
+// a phi edge. Memory is captured at page granularity, and a page whose
+// contents equal the predecessor snapshot's copy shares that copy, so
+// snapshot memory scales with the pages written rather than the footprint.
+// Execution counts are captured as the block/edge counter space, from
+// which occurrences reads any static instruction's count.
 
 // pageWords is the snapshot page granularity (4 KiB of word-addressed
 // memory); pageShift is its log2.
@@ -32,28 +36,16 @@ const (
 
 func pageCount(words int64) int64 { return (words + pageWords - 1) >> pageShift }
 
-// markDirty flags the pages covering [lo, hi) as written since the last
-// snapshot.
-func (e *exec) markDirty(lo, hi int64) {
-	if hi <= lo {
-		return
-	}
-	for pg := lo >> pageShift; pg <= (hi-1)>>pageShift; pg++ {
-		e.dirty[pg] = true
-	}
-}
-
-// Snapshot is a resumable copy of the machine state at one dynamic
-// instruction boundary of a fault-free run.
+// Snapshot is a resumable copy of the machine state at one dispatch-slot
+// boundary of a fault-free run.
 type Snapshot struct {
 	dyn      int64
 	memTop   int64
-	pages    [][]uint64 // mem[i*pageWords:...]; clean pages shared with the previous snapshot
+	pages    [][]uint64 // mem[i*pageWords:...]; equal pages shared with the previous snapshot
 	frames   []frame
 	regs     []uint64 // regSlab[:slabTop]
-	slabTop  int
 	output   []OutVal
-	counts   []int64 // per-static-instruction execution counts (profiled runs)
+	counters []int64 // block/edge execution counters
 	detected bool
 }
 
@@ -140,64 +132,41 @@ func AutoCheckpointInterval(dynCount int64) int64 {
 }
 
 // takeSnapshot records the current machine state into e.ckpt and arms the
-// next checkpoint. Called only at instruction boundaries of a fault-free
-// checkpointed run, where fr.pc has been synced.
+// next checkpoint. Called only from trip at a slot boundary of a
+// fault-free checkpointed run, with the top frame's pc and e.dyn synced.
 func (e *exec) takeSnapshot() {
 	c := e.ckpt
 	var prev *Snapshot
 	if n := len(c.snaps); n > 0 {
 		prev = c.snaps[n-1]
 	}
-	c.snaps = append(c.snaps, e.captureSnapshot(prev))
-	e.nextCkpt = e.dyn + c.interval
-}
-
-// captureSnapshot copies the current machine state into a Snapshot whose
-// clean pages are shared with prev (nil forces a full page copy), then
-// clears the dirty-page map. Callable only at instruction boundaries where
-// fr.pc has been synced, with e.dirty tracking every write since prev was
-// captured.
-func (e *exec) captureSnapshot(prev *Snapshot) *Snapshot {
-	nPages := int(pageCount(e.memTop))
-	pages := make([][]uint64, nPages)
-	for i := range pages {
-		if prev != nil && i < len(prev.pages) && !e.dirty[i] {
-			// Untouched since the previous snapshot: share its copy. A page
-			// that entered the address space after prev was taken is only
-			// shareable because fresh memory is zero and every alloca/store
-			// marks its pages dirty — unwritten growth matches prev's
-			// zero padding.
-			pages[i] = prev.pages[i]
-			continue
-		}
-		pg := make([]uint64, pageWords)
-		lo := i * pageWords
-		hi := lo + pageWords
-		if hi > len(e.mem) {
-			hi = len(e.mem)
-		}
-		copy(pg, e.mem[lo:hi])
-		pages[i] = pg
+	pages := make([][]uint64, pageCount(e.memTop))
+	if covered := int64(len(pages)) * pageWords; int64(len(e.mem)) < covered {
+		e.growMem(covered) // whole pages to compare and copy
 	}
-	clear(e.dirty)
-	s := &Snapshot{
+	for i := range pages {
+		pg := e.mem[i*pageWords : (i+1)*pageWords]
+		if prev != nil && i < len(prev.pages) && slices.Equal(prev.pages[i], pg) {
+			pages[i] = prev.pages[i]
+		} else {
+			pages[i] = slices.Clone(pg)
+		}
+	}
+	c.snaps = append(c.snaps, &Snapshot{
 		dyn:      e.dyn,
 		memTop:   e.memTop,
 		pages:    pages,
-		frames:   append([]frame(nil), e.frames...),
-		regs:     append([]uint64(nil), e.regSlab[:e.slabTop]...),
-		slabTop:  e.slabTop,
-		output:   append([]OutVal(nil), e.output...),
+		frames:   slices.Clone(e.frames),
+		regs:     slices.Clone(e.regSlab[:e.slabTop]),
+		output:   slices.Clone(e.output),
+		counters: slices.Clone(e.blockCounts),
 		detected: e.detected,
-	}
-	if e.counts != nil {
-		s.counts = append([]int64(nil), e.counts...)
-	}
-	return s
+	})
+	e.nextCkpt = e.dyn + c.interval
 }
 
-// restoreInto rebuilds the snapshot's machine state inside a fresh (or
-// injector-reset) exec.
+// restoreInto rebuilds the snapshot's machine state inside a fresh or reset
+// exec.
 func (s *Snapshot) restoreInto(e *exec) {
 	e.dyn = s.dyn
 	e.memTop = s.memTop
@@ -209,20 +178,14 @@ func (s *Snapshot) restoreInto(e *exec) {
 		copy(e.mem[int64(i)*pageWords:], pg)
 	}
 	e.memHW = max(e.memHW, covered)
-	if s.slabTop > len(e.regSlab) {
-		e.growSlab(s.slabTop)
+	if len(s.regs) > len(e.regSlab) {
+		e.growSlab(len(s.regs))
 	}
-	copy(e.regSlab[:s.slabTop], s.regs)
-	e.slabTop = s.slabTop
+	e.slabTop = copy(e.regSlab, s.regs)
 	e.frames = append(e.frames[:0], s.frames...)
 	e.output = append(e.output[:0], s.output...)
+	copy(e.blockCounts, s.counters)
 	e.detected = s.detected
-	if e.profile {
-		if s.counts == nil {
-			panic("interp: profiled resume from a snapshot of an unprofiled run")
-		}
-		copy(e.counts, s.counts)
-	}
 	// The golden prefix is taint-free (taint exists only downstream of an
 	// injection), so a fresh exec's zeroed shadows are already correct;
 	// only their sizes must track memory.
@@ -248,14 +211,10 @@ func (c *Checkpoints) ForPlan(plan *fault.Plan) *Snapshot {
 		// dyn < TargetDyn is still on the shared prefix.
 		before = func(s *Snapshot) bool { return s.dyn < plan.TargetDyn }
 	case fault.ModeStatic:
-		if plan.StaticID < 0 {
-			return nil
-		}
 		// Still on the prefix while the target static instruction has
 		// executed fewer than Occurrence times.
 		before = func(s *Snapshot) bool {
-			return s.counts != nil && plan.StaticID < len(s.counts) &&
-				s.counts[plan.StaticID] < plan.Occurrence
+			return occurrences(c.prog, s.counters, s.frames, plan.StaticID) < plan.Occurrence
 		}
 	default:
 		return nil
@@ -269,29 +228,6 @@ func (c *Checkpoints) ForPlan(plan *fault.Plan) *Snapshot {
 	return c.snaps[n-1]
 }
 
-// RunFrom executes the program from a snapshot's state instead of from the
-// entry point, with the given options. The snapshot must come from a
-// checkpointed run of the same program on the same input, and the fault
-// plan (if any) must target a point at or after the snapshot — ForPlan
-// selects such a snapshot. Static-mode plans require a profiled snapshot
-// (the occurrence count of the target instruction is part of the machine
-// state); profiled resumes likewise require profiled snapshots.
-func RunFrom(p *Program, s *Snapshot, opts Options) *Result {
-	if opts.CheckpointInterval > 0 {
-		panic("interp: RunFrom cannot itself record checkpoints")
-	}
-	e := newExec(p, opts)
-	s.restoreInto(e)
-	if pl := opts.Plan; pl != nil && pl.Mode == fault.ModeStatic {
-		if s.counts == nil {
-			panic("interp: static-mode plan resumed from a snapshot of an unprofiled run")
-		}
-		e.occSeen = s.counts[pl.StaticID]
-	}
-	ret, _ := e.run()
-	return e.finish(ret)
-}
-
 // RunWithCheckpoints is Run for fault-injection trials against a
 // checkpointed golden run: the trial resumes from the nearest snapshot before
 // its injection point when one exists, and falls back to a full run
@@ -301,7 +237,7 @@ func RunFrom(p *Program, s *Snapshot, opts Options) *Result {
 // below the snapshot is exactly the golden prefix's.
 func RunWithCheckpoints(p *Program, args []uint64, c *Checkpoints, opts Options) *Result {
 	if s := c.resumePoint(p, opts.Plan); s != nil {
-		return RunFrom(p, s, opts)
+		return runFrom(p, s, nil, opts)
 	}
 	return Run(p, args, opts)
 }

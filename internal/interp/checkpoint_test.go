@@ -1,7 +1,9 @@
 package interp
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -208,5 +210,60 @@ func TestAutoCheckpointInterval(t *testing.T) {
 	}
 	if got := AutoCheckpointInterval(640_000); got != 10_000 {
 		t.Fatalf("large run: got %d, want dyn/64", got)
+	}
+}
+
+// TestSnapshotPagesSharedByContent pins the page-sharing rule: a snapshot
+// page shares its predecessor's copy exactly when the contents are equal,
+// and every page holds the memory a resumed trial must see — checked by
+// resuming a fault-free run (a plan that never fires) from each snapshot.
+func TestSnapshotPagesSharedByContent(t *testing.T) {
+	p, _ := buildInjectorMix(t)
+	args := []uint64{600} // a two-page array, mostly untouched between snapshots
+	golden := Run(p, args, Options{Profile: true, CheckpointInterval: 97})
+	snaps := golden.Checkpoints.snaps
+	shared := 0
+	for k := 1; k < len(snaps); k++ {
+		prev, cur := snaps[k-1], snaps[k]
+		for i, pg := range cur.pages {
+			if i >= len(prev.pages) {
+				continue
+			}
+			same := &pg[0] == &prev.pages[i][0]
+			if same != slices.Equal(pg, prev.pages[i]) {
+				t.Fatalf("snapshot %d page %d: shared=%v but contents equal=%v", k, i, same, !same)
+			}
+			if same {
+				shared++
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no page was shared between consecutive snapshots")
+	}
+	never := fault.Plan{Mode: fault.ModeDynamic, TargetDyn: golden.DynCount + 1}
+	for _, s := range snaps {
+		r := runFrom(p, s, nil, Options{Plan: &never, MaxDyn: golden.DynCount + 1})
+		sameResult(t, fmt.Sprintf("resume@%d", s.dyn), &Result{Ret: golden.Ret, DynCount: golden.DynCount, Output: golden.Output}, r)
+	}
+}
+
+// TestTaintRunRejectsProfileAndCheckpoint: the taint-tracking loop
+// neither profiles nor records snapshots, so asking it to must panic
+// rather than silently return no counts or checkpoints.
+func TestTaintRunRejectsProfileAndCheckpoint(t *testing.T) {
+	p := buildSumLoop(t)
+	for name, opts := range map[string]Options{
+		"Profile":            {TrackPropagation: true, Profile: true},
+		"CheckpointInterval": {TrackPropagation: true, CheckpointInterval: 8},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("a TrackPropagation run accepted %s", name)
+				}
+			}()
+			Run(p, []uint64{10}, opts)
+		})
 	}
 }

@@ -78,7 +78,8 @@ type Options struct {
 	MaxMemWords int
 	// MaxDepth bounds the call stack (default 512 frames).
 	MaxDepth int
-	// Profile enables per-static-instruction execution counting.
+	// Profile returns the per-static-instruction execution counts in
+	// Result.InstrCounts, folded from the run's block/edge counters.
 	Profile bool
 	// Plan, when non-nil, injects one single-bit fault during the run.
 	Plan *fault.Plan
@@ -90,14 +91,16 @@ type Options struct {
 	// traced through registers, memory, calls and output, yielding the
 	// Result's Propagation statistics (the raw material of §7.1.1-style
 	// error-propagation modelling). Implicit flows are not propagated, but
-	// tainted branch decisions are counted.
+	// tainted branch decisions are counted. Such runs take the
+	// per-instruction loop and cannot also set Profile or
+	// CheckpointInterval.
 	TrackPropagation bool
 	// CheckpointInterval, when positive, records a Snapshot of the complete
 	// machine state roughly every CheckpointInterval dynamic instructions
-	// (at the next instruction boundary). The snapshots are returned in
-	// Result.Checkpoints; RunWithCheckpoints uses them to resume later
-	// fault-injection trials past the shared golden prefix. Combining a
-	// CheckpointInterval with a fault Plan panics: snapshots must capture
+	// (at the next dispatch-slot boundary). The snapshots are returned in
+	// Result.Checkpoints; RunWithCheckpoints and Injector use them to resume
+	// later fault-injection trials past the shared golden prefix. Combining
+	// a CheckpointInterval with a fault Plan panics: snapshots must capture
 	// fault-free state.
 	CheckpointInterval int64
 }
@@ -211,15 +214,18 @@ const initialSlabSlots = 256
 
 // exec is the per-run machine state.
 type exec struct {
-	p       *Program
-	mem     []uint64
-	memTop  int64
-	maxMem  int64
-	maxDep  int
-	dyn     int64
-	maxDyn  int64
-	counts  []int64
-	profile bool
+	p      *Program
+	mem    []uint64
+	memTop int64
+	maxMem int64
+	maxDep int
+	dyn    int64
+	maxDyn int64
+
+	// limit is runFast's trip point: min(maxDyn, the next stop). A counted
+	// instruction whose dyn index exceeds it enters trip, which exhausts the
+	// budget, injects the armed fault or records the due snapshot.
+	limit int64
 
 	// memHW bounds the words ever written: mem[memHW:] is all zero. Allocas
 	// clear only the claimed words below it and growMem copies only those,
@@ -235,8 +241,11 @@ type exec struct {
 	taintSlab []bool
 	slabTop   int
 
-	plan     *fault.Plan
+	plan *fault.Plan
+	// occSeen counts the completed executions of a static plan's target:
+	// per instruction in the taint loop, as of dyn clock occDyn in runFast.
 	occSeen  int64
+	occDyn   int64
 	injected bool
 	injID    int32
 	injBit   uint8
@@ -248,27 +257,19 @@ type exec struct {
 	detected bool
 	moveBuf  []uint64
 
-	// Block-granular profiling state (fast path only; see fastprofile.go).
-	// blockCounts is the CounterLen()-sized block/edge counter space; overlay
-	// lists static instruction ids executed by partially-completed blocks,
-	// fused slots or move lists at abort, each worth +1 over the block-derived
-	// count.
+	// Block/edge execution counters (see fastprofile.go): the
+	// CounterLen()-sized counter space runFast bumps at block entries and
+	// phi edges; overlay lists static instruction ids executed by
+	// partially-completed blocks, fused slots or move lists at abort, each
+	// worth +1 over the block-derived count.
 	blockCounts []int64
 	overlay     []int32
 
-	// Golden-prefix checkpointing (nil / maxInt unless the run was started
-	// with Options.CheckpointInterval). dirty tracks written memory pages so
-	// snapshots can share unchanged pages with their predecessor.
+	// Golden-prefix checkpointing (nil unless the run was started with
+	// Options.CheckpointInterval): the next snapshot is due once the dyn
+	// clock passes nextCkpt.
 	ckpt     *Checkpoints
 	nextCkpt int64
-	dirty    []bool
-
-	// Injector state (see injector.go). On an injector's machine, armed
-	// instruction boundaries (dyn >= nextCkpt) call injectBoundary instead
-	// of recording a snapshot; once the fault has fired it suspends the run
-	// with paused set and the frame stack in a resumable state.
-	injector bool
-	paused   bool
 
 	// Taint tracking state (nil unless Options.TrackPropagation).
 	taintMem     []bool
@@ -280,17 +281,17 @@ type exec struct {
 
 func newExec(p *Program, opts Options) *exec {
 	e := &exec{
-		p:        p,
-		mem:      make([]uint64, 4096),
-		memTop:   1, // word 0 is the null page
-		maxMem:   int64(opts.MaxMemWords),
-		maxDep:   opts.MaxDepth,
-		maxDyn:   opts.MaxDyn,
-		plan:     opts.Plan,
-		rng:      opts.FaultRNG,
-		frames:   make([]frame, 0, 8),
-		regSlab:  make([]uint64, initialSlabSlots),
-		nextCkpt: math.MaxInt64,
+		p:           p,
+		mem:         make([]uint64, 4096),
+		memTop:      1, // word 0 is the null page
+		maxMem:      int64(opts.MaxMemWords),
+		maxDep:      opts.MaxDepth,
+		maxDyn:      opts.MaxDyn,
+		plan:        opts.Plan,
+		rng:         opts.FaultRNG,
+		frames:      make([]frame, 0, 8),
+		regSlab:     make([]uint64, initialSlabSlots),
+		blockCounts: make([]int64, p.CounterLen()),
 	}
 	if e.maxMem <= 0 {
 		e.maxMem = defaultMaxMemWords
@@ -301,10 +302,6 @@ func newExec(p *Program, opts Options) *exec {
 	if e.maxDyn <= 0 {
 		e.maxDyn = defaultMaxDyn
 	}
-	if opts.Profile {
-		e.profile = true
-		e.counts = make([]int64, p.numInstrs)
-	}
 	if opts.TrackPropagation {
 		e.taintStats = &PropagationStats{}
 		e.taintStatic = make([]bool, p.numInstrs)
@@ -314,13 +311,8 @@ func newExec(p *Program, opts Options) *exec {
 	return e
 }
 
-func (e *exec) finish(ret uint64) *Result {
-	r := e.outcome(ret)
-	return &r
-}
-
-// outcome assembles the run's Result by value; Output, InstrCounts and the
-// other reference fields borrow the exec's buffers.
+// outcome assembles the run's Result by value; Output and the other
+// reference fields borrow the exec's buffers.
 func (e *exec) outcome(ret uint64) Result {
 	return Result{
 		Ret:            ret,
@@ -328,7 +320,6 @@ func (e *exec) outcome(ret uint64) Result {
 		DynCount:       e.dyn,
 		Trap:           e.trap,
 		BudgetExceeded: e.budget,
-		InstrCounts:    e.counts,
 		Injected:       e.injected,
 		InjectedID:     int(e.injID),
 		InjectedBit:    e.injBit,
@@ -342,23 +333,87 @@ func (e *exec) outcome(ret uint64) Result {
 // values. It never panics on program-level failures; traps, hangs and
 // injected faults are reported in the Result.
 func Run(p *Program, args []uint64, opts Options) *Result {
+	return runFrom(p, nil, args, opts)
+}
+
+// runFrom executes p under opts from snapshot s, or from the entry function
+// with args when s is nil. Every run goes through runFast except taint
+// tracking, the one job of the per-instruction loop (taint.go).
+func runFrom(p *Program, s *Snapshot, args []uint64, opts Options) *Result {
+	if opts.CheckpointInterval > 0 && opts.Plan != nil {
+		panic("interp: CheckpointInterval with a fault plan — snapshots must capture fault-free state")
+	}
+	if opts.TrackPropagation && (opts.Profile || opts.CheckpointInterval > 0) {
+		panic("interp: a TrackPropagation run neither profiles nor records checkpoints")
+	}
 	e := newExec(p, opts)
 	if opts.CheckpointInterval > 0 {
-		if opts.Plan != nil {
-			panic("interp: CheckpointInterval with a fault plan — snapshots must capture fault-free state")
-		}
 		e.ckpt = &Checkpoints{prog: p, interval: opts.CheckpointInterval}
 		e.nextCkpt = opts.CheckpointInterval
-		e.dirty = make([]bool, pageCount(int64(len(e.mem))))
 	}
-	entry := p.funcs[p.entry]
-	if len(args) != entry.nParams {
-		panic(fmt.Sprintf("interp: entry %s takes %d args, got %d", entry.name, entry.nParams, len(args)))
+	e.start(s, args)
+	if opts.TrackPropagation {
+		ret, _ := e.run()
+		r := e.outcome(ret)
+		return &r
 	}
-	e.pushFrame(p.entry)
-	copy(e.regSlab[:len(args)], args)
-	ret, _ := e.run()
-	return e.finish(ret)
+	ret, ok := e.runFast()
+	r := e.outcome(ret)
+	if opts.Profile {
+		if !ok {
+			e.fixupAbort()
+		}
+		r.InstrCounts = p.foldCounts(nil, e.blockCounts, e.overlay)
+	}
+	return &r
+}
+
+// start rewinds a fresh or reset exec to snapshot s, or pushes the entry
+// frame with args when s is nil, and arms e.limit for the run's first
+// stop: the first snapshot when recording, the earliest point the plan's
+// fault can fire when injecting.
+func (e *exec) start(s *Snapshot, args []uint64) {
+	if s != nil {
+		s.restoreInto(e)
+	} else {
+		entry := e.p.funcs[e.p.entry]
+		if len(args) != entry.nParams {
+			panic(fmt.Sprintf("interp: entry %s takes %d args, got %d", entry.name, entry.nParams, len(args)))
+		}
+		e.pushFrame(e.p.entry)
+		copy(e.regSlab[:len(args)], args)
+		e.blockCounts[entry.blockBase]++
+	}
+	stop := int64(math.MaxInt64)
+	switch {
+	case e.ckpt != nil:
+		stop = e.nextCkpt
+	case e.plan != nil:
+		if e.plan.Mode == fault.ModeStatic {
+			e.occSeen, e.occDyn = occurrences(e.p, e.blockCounts, e.frames, e.plan.StaticID), e.dyn
+		}
+		stop = e.planStop(e.dyn, e.occSeen)
+	}
+	e.limit = min(e.maxDyn, stop)
+}
+
+// planStop returns the dyn clock value after which the armed plan's fault
+// can next fire, given that dyn instructions have completed, occ of them
+// executions of a static plan's target. A static target executes at most
+// once per dyn, so its Occurrence-th execution is at least
+// Occurrence-occ instructions away.
+func (e *exec) planStop(dyn, occ int64) int64 {
+	switch pl := e.plan; pl.Mode {
+	case fault.ModeStatic:
+		if occ < pl.Occurrence {
+			return dyn + pl.Occurrence - occ - 1
+		}
+	case fault.ModeDynamic:
+		if pl.TargetDyn > dyn {
+			return pl.TargetDyn - 1
+		}
+	}
+	return math.MaxInt64 // the target is out of reach
 }
 
 // pushFrame claims a zeroed register window for funcs[fi] and pushes its
@@ -398,12 +453,9 @@ func (e *exec) growSlab(need int) {
 }
 
 // growMem grows e.mem to at least n words in one allocation, keeping the
-// taint shadow and the dirty-page map sized with it.
+// taint shadow sized with it.
 func (e *exec) growMem(n int64) {
-	sz := int64(len(e.mem)) * 2
-	if sz < n {
-		sz = n
-	}
+	sz := max(int64(len(e.mem))*2, n)
 	m := make([]uint64, sz)
 	copy(m, e.mem[:e.memHW])
 	e.mem = m
@@ -411,11 +463,6 @@ func (e *exec) growMem(n int64) {
 		t := make([]bool, sz)
 		copy(t, e.taintMem)
 		e.taintMem = t
-	}
-	if e.dirty != nil {
-		d := make([]bool, pageCount(sz))
-		copy(d, e.dirty)
-		e.dirty = d
 	}
 }
 
@@ -436,67 +483,44 @@ func (e *exec) clearClaimed(base int64) {
 	}
 }
 
-// result records the production of a value by static instruction id,
-// applying the fault plan when the target dynamic instance is reached.
-// It returns the (possibly corrupted) value and false when the run must
-// abort (dynamic budget exceeded).
-func (e *exec) result(id int32, ty ir.Type, v uint64) (uint64, bool) {
-	e.dyn++
-	if e.dyn > e.maxDyn {
-		e.budget = true
-		return v, false
-	}
-	if e.profile {
-		e.counts[id]++
-	}
-	if e.plan != nil && !e.injected {
-		hit := false
-		switch e.plan.Mode {
-		case fault.ModeDynamic:
-			hit = e.dyn == e.plan.TargetDyn
-		case fault.ModeStatic:
-			if int(id) == e.plan.StaticID {
-				e.occSeen++
-				hit = e.occSeen == e.plan.Occurrence
+// applyFault corrupts v, the value static instruction id of type ty is
+// producing at the plan's target, and records the injection. Both loops
+// inject through it.
+func (e *exec) applyFault(id int32, ty ir.Type, v uint64) uint64 {
+	var bit uint8
+	if m := e.plan.Model; m != nil {
+		// Pluggable model path: the model owns the corruption. Bit stays
+		// zero for reporting; determinism still holds because Apply draws
+		// only from the per-trial stream.
+		if e.rng == nil {
+			panic("interp: fault plan with a model but no FaultRNG")
+		}
+		v = m.Apply(ty, v, e.rng)
+	} else {
+		bit = e.plan.Bit
+		if e.plan.BitPending() {
+			if e.rng == nil {
+				panic("interp: fault plan with pending bit but no FaultRNG")
+			}
+			bit = fault.RandomBit(e.rng, ty)
+		}
+		v = fault.Flip(ty, v, bit)
+		if e.plan.SecondBitPending() {
+			if second, ok := fault.RandomSecondBit(e.rng, ty, bit); ok {
+				v = fault.Flip(ty, v, second)
+			}
+		} else if sb := e.plan.SecondBit; sb > 0 {
+			// A concrete second bit equal to the first would re-flip and
+			// cancel the fault; skip it like the pending path.
+			if second := uint8(sb - 1); second != bit {
+				v = fault.Flip(ty, v, second)
 			}
 		}
-		if hit {
-			var bit uint8
-			if m := e.plan.Model; m != nil {
-				// Pluggable model path: the model owns the corruption. Bit
-				// stays zero for reporting; determinism still holds because
-				// Apply draws only from the per-trial stream.
-				if e.rng == nil {
-					panic("interp: fault plan with a model but no FaultRNG")
-				}
-				v = m.Apply(ty, v, e.rng)
-			} else {
-				bit = e.plan.Bit
-				if e.plan.BitPending() {
-					if e.rng == nil {
-						panic("interp: fault plan with pending bit but no FaultRNG")
-					}
-					bit = fault.RandomBit(e.rng, ty)
-				}
-				v = fault.Flip(ty, v, bit)
-				if e.plan.SecondBitPending() {
-					if second, ok := fault.RandomSecondBit(e.rng, ty, bit); ok {
-						v = fault.Flip(ty, v, second)
-					}
-				} else if sb := e.plan.SecondBit; sb > 0 {
-					// A concrete second bit equal to the first would re-flip
-					// and cancel the fault; skip it like the pending path.
-					if second := uint8(sb - 1); second != bit {
-						v = fault.Flip(ty, v, second)
-					}
-				}
-			}
-			e.injected = true
-			e.injID = id
-			e.injBit = bit
-		}
 	}
-	return v, true
+	e.injected = true
+	e.injID = id
+	e.injBit = bit
+	return v
 }
 
 func get(regs, consts []uint64, r ref) uint64 {
@@ -504,64 +528,6 @@ func get(regs, consts []uint64, r ref) uint64 {
 		return regs[r]
 	}
 	return consts[-r-1]
-}
-
-// taintOf reads the taint of an operand ref (constants are never tainted).
-func taintOf(taint []bool, r ref) bool { return r >= 0 && taint[r] }
-
-// noteTaint records that static instruction id produced a corrupted value.
-func (e *exec) noteTaint(id int32) {
-	e.taintStats.TaintedDyn++
-	if !e.taintStatic[id] {
-		e.taintStatic[id] = true
-		e.taintStats.TaintedStatic++
-	}
-}
-
-// applyMoves performs the parallel phi copies for a CFG edge.
-func (e *exec) applyMoves(moves []move, regs, consts []uint64, taint []bool) bool {
-	if len(moves) == 0 {
-		return true
-	}
-	if cap(e.moveBuf) < len(moves) {
-		e.moveBuf = make([]uint64, len(moves))
-	}
-	buf := e.moveBuf[:len(moves)]
-	for i, mv := range moves {
-		buf[i] = get(regs, consts, mv.src)
-	}
-	track := taint != nil
-	if track {
-		if cap(e.taintMoveBuf) < len(moves) {
-			e.taintMoveBuf = make([]bool, len(moves))
-		}
-		tb := e.taintMoveBuf[:len(moves)]
-		for i, mv := range moves {
-			tb[i] = taintOf(taint, mv.src)
-		}
-		for i, mv := range moves {
-			preInj := e.injected
-			v, ok := e.result(mv.phiID, mv.ty, buf[i])
-			if !ok {
-				return false
-			}
-			regs[mv.dst] = v
-			t := tb[i] || (e.injected && !preInj)
-			taint[mv.dst] = t
-			if t {
-				e.noteTaint(mv.phiID)
-			}
-		}
-		return true
-	}
-	for i, mv := range moves {
-		v, ok := e.result(mv.phiID, mv.ty, buf[i])
-		if !ok {
-			return false
-		}
-		regs[mv.dst] = v
-	}
-	return true
 }
 
 // checkAddr validates a memory word address for load/store.
@@ -575,494 +541,6 @@ func (e *exec) checkAddr(fn string, addr uint64) bool {
 		return false
 	}
 	return true
-}
-
-// run drives the dispatch loop over the explicit frame stack from the
-// current machine state (at least one frame pushed, possibly restored from
-// a Snapshot) until the entry frame returns. It returns (retValue, ok); on
-// !ok the run aborted (trap or budget), recorded in e.
-func (e *exec) run() (uint64, bool) {
-	track := e.taintStats != nil
-
-	// Locals caching the active frame; re-derived via reenter on every
-	// push/pop and whenever the slabs are reallocated.
-	var (
-		fr     *frame
-		cf     *compiledFunc
-		regs   []uint64
-		taint  []bool
-		consts []uint64
-		code   []inst
-		pc     int32
-	)
-	reenter := func() {
-		fr = &e.frames[len(e.frames)-1]
-		cf = e.p.funcs[fr.fi]
-		regs = e.regSlab[fr.regOff : fr.regOff+fr.nSlots]
-		if track {
-			taint = e.taintSlab[fr.regOff : fr.regOff+fr.nSlots]
-		}
-		consts = cf.consts
-		code = cf.code
-		pc = fr.pc
-	}
-	reenter()
-
-	for {
-		if e.dyn >= e.nextCkpt {
-			// Instruction boundaries are the only points where the cached pc
-			// and the frame stack describe a resumable state.
-			fr.pc = pc
-			if e.injector {
-				if !e.injectBoundary() {
-					e.paused = true
-					return 0, false
-				}
-			} else {
-				e.takeSnapshot()
-			}
-		}
-		in := &code[pc]
-		switch in.op {
-		case ir.OpBr:
-			if !e.applyMoves(in.movesA, regs, consts, taint) {
-				return 0, false
-			}
-			pc = in.jumpA
-			continue
-		case ir.OpCondBr:
-			if track && taintOf(taint, in.a) {
-				e.taintStats.TaintedBranches++
-			}
-			if get(regs, consts, in.a)&1 != 0 {
-				if !e.applyMoves(in.movesA, regs, consts, taint) {
-					return 0, false
-				}
-				pc = in.jumpA
-			} else {
-				if !e.applyMoves(in.movesB, regs, consts, taint) {
-					return 0, false
-				}
-				pc = in.jumpB
-			}
-			continue
-		case ir.OpRet:
-			var rv uint64
-			if cf.retTy == ir.Void {
-				e.retTaint = false
-			} else {
-				rv = get(regs, consts, in.a)
-				if track {
-					e.retTaint = taintOf(taint, in.a)
-				}
-			}
-			// Pop: stack memory and the register window are reclaimed by
-			// lowering the watermarks.
-			e.memTop = fr.memBase
-			e.slabTop = int(fr.regOff)
-			e.frames = e.frames[:len(e.frames)-1]
-			if len(e.frames) == 0 {
-				return rv, true
-			}
-			reenter()
-			// pc is the caller's suspended OpCall; complete it with the
-			// callee's return value.
-			cin := &code[pc]
-			if cin.dst < 0 { // void call
-				pc++
-				continue
-			}
-			preInj := e.injected
-			v, ok := e.result(cin.id, cin.ty, rv)
-			if !ok {
-				return 0, false
-			}
-			regs[cin.dst] = v
-			if track {
-				t := e.retTaint || (e.injected && !preInj)
-				taint[cin.dst] = t
-				if t {
-					e.noteTaint(cin.id)
-				}
-			}
-			pc++
-			continue
-
-		// Fused superinstructions. Each handler replays its pair
-		// sub-instruction by sub-instruction — result() per value, taint
-		// per operand set, traps and dirty marks in source order — so
-		// injections landing on either half (including mid-pair dynamic
-		// targets) behave exactly as on the unfused instruction sequence.
-		case opFusedCmpBr:
-			var tIn bool
-			if track {
-				tIn = taintOf(taint, in.a) || taintOf(taint, in.b)
-			}
-			v := evalCmp(in.op1, in.srcTy, get(regs, consts, in.a), get(regs, consts, in.b))
-			preInj := e.injected
-			v, ok := e.result(in.id, in.ty, v)
-			if !ok {
-				return 0, false
-			}
-			regs[in.dst] = v
-			if track {
-				t := tIn || (e.injected && !preInj)
-				taint[in.dst] = t
-				if t {
-					e.noteTaint(in.id)
-					e.taintStats.TaintedBranches++
-				}
-			}
-			if v&1 != 0 {
-				if !e.applyMoves(in.movesA, regs, consts, taint) {
-					return 0, false
-				}
-				pc = in.jumpA
-			} else {
-				if !e.applyMoves(in.movesB, regs, consts, taint) {
-					return 0, false
-				}
-				pc = in.jumpB
-			}
-			continue
-
-		case opFusedLoadArith:
-			addr := get(regs, consts, in.a)
-			if !e.checkAddr(cf.name, addr) {
-				return 0, false
-			}
-			var tIn bool
-			if track {
-				tIn = taintOf(taint, in.a) || e.taintMem[addr]
-			}
-			v := ir.CanonInt(in.ty, e.mem[addr])
-			preInj := e.injected
-			v, ok := e.result(in.id, in.ty, v)
-			if !ok {
-				return 0, false
-			}
-			regs[in.dst] = v
-			if track {
-				t := tIn || (e.injected && !preInj)
-				taint[in.dst] = t
-				if t {
-					e.noteTaint(in.id)
-				}
-			}
-			var tIn2 bool
-			if track {
-				tIn2 = taintOf(taint, in.a2) || taintOf(taint, in.b2)
-			}
-			v2 := evalFusedArith(in.op2, in.ty2, get(regs, consts, in.a2), get(regs, consts, in.b2))
-			preInj = e.injected
-			v2, ok = e.result(in.id2, in.ty2, v2)
-			if !ok {
-				return 0, false
-			}
-			regs[in.dst2] = v2
-			if track {
-				t := tIn2 || (e.injected && !preInj)
-				taint[in.dst2] = t
-				if t {
-					e.noteTaint(in.id2)
-				}
-			}
-			pc++
-			continue
-
-		case opFusedArithLoad:
-			var tIn bool
-			if track {
-				tIn = taintOf(taint, in.a) || taintOf(taint, in.b)
-			}
-			v := evalFusedArith(in.op1, in.ty, get(regs, consts, in.a), get(regs, consts, in.b))
-			preInj := e.injected
-			v, ok := e.result(in.id, in.ty, v)
-			if !ok {
-				return 0, false
-			}
-			regs[in.dst] = v
-			if track {
-				t := tIn || (e.injected && !preInj)
-				taint[in.dst] = t
-				if t {
-					e.noteTaint(in.id)
-				}
-			}
-			addr := get(regs, consts, in.a2)
-			if !e.checkAddr(cf.name, addr) {
-				return 0, false
-			}
-			var tIn2 bool
-			if track {
-				tIn2 = taintOf(taint, in.a2) || e.taintMem[addr]
-			}
-			v2 := ir.CanonInt(in.ty2, e.mem[addr])
-			preInj = e.injected
-			v2, ok = e.result(in.id2, in.ty2, v2)
-			if !ok {
-				return 0, false
-			}
-			regs[in.dst2] = v2
-			if track {
-				t := tIn2 || (e.injected && !preInj)
-				taint[in.dst2] = t
-				if t {
-					e.noteTaint(in.id2)
-				}
-			}
-			pc++
-			continue
-
-		case opFusedArithStore:
-			var tIn bool
-			if track {
-				tIn = taintOf(taint, in.a) || taintOf(taint, in.b)
-			}
-			v := evalFusedArith(in.op1, in.ty, get(regs, consts, in.a), get(regs, consts, in.b))
-			preInj := e.injected
-			v, ok := e.result(in.id, in.ty, v)
-			if !ok {
-				return 0, false
-			}
-			regs[in.dst] = v
-			if track {
-				t := tIn || (e.injected && !preInj)
-				taint[in.dst] = t
-				if t {
-					e.noteTaint(in.id)
-				}
-			}
-			addr := get(regs, consts, in.b2)
-			if !e.checkAddr(cf.name, addr) {
-				return 0, false
-			}
-			e.store(addr, get(regs, consts, in.a2))
-			if e.dirty != nil {
-				e.dirty[addr>>pageShift] = true
-			}
-			if track {
-				tVal := taintOf(taint, in.a2)
-				tPtr := taintOf(taint, in.b2)
-				e.taintMem[addr] = tVal || tPtr
-				if tVal || tPtr {
-					e.taintStats.TaintedMemWrites++
-				}
-				if tPtr {
-					e.taintStats.WildStores++
-				}
-			}
-			pc++
-			continue
-
-		case opFusedArithArith:
-			var tIn bool
-			if track {
-				tIn = taintOf(taint, in.a) || taintOf(taint, in.b)
-			}
-			v := evalFusedArith(in.op1, in.ty, get(regs, consts, in.a), get(regs, consts, in.b))
-			preInj := e.injected
-			v, ok := e.result(in.id, in.ty, v)
-			if !ok {
-				return 0, false
-			}
-			regs[in.dst] = v
-			if track {
-				t := tIn || (e.injected && !preInj)
-				taint[in.dst] = t
-				if t {
-					e.noteTaint(in.id)
-				}
-			}
-			var tIn2 bool
-			if track {
-				tIn2 = taintOf(taint, in.a2) || taintOf(taint, in.b2)
-			}
-			v2 := evalFusedArith(in.op2, in.ty2, get(regs, consts, in.a2), get(regs, consts, in.b2))
-			preInj = e.injected
-			v2, ok = e.result(in.id2, in.ty2, v2)
-			if !ok {
-				return 0, false
-			}
-			regs[in.dst2] = v2
-			if track {
-				t := tIn2 || (e.injected && !preInj)
-				taint[in.dst2] = t
-				if t {
-					e.noteTaint(in.id2)
-				}
-			}
-			pc++
-			continue
-		}
-
-		var v uint64
-		var tIn bool
-		if track && in.nargs > 0 {
-			tIn = taintOf(taint, in.a)
-			if in.nargs > 1 {
-				tIn = tIn || taintOf(taint, in.b)
-			}
-			if in.nargs > 2 {
-				tIn = tIn || taintOf(taint, in.c)
-			}
-		}
-		switch in.op {
-		case ir.OpAdd:
-			v = ir.CanonInt(in.ty, get(regs, consts, in.a)+get(regs, consts, in.b))
-		case ir.OpSub:
-			v = ir.CanonInt(in.ty, get(regs, consts, in.a)-get(regs, consts, in.b))
-		case ir.OpMul:
-			v = ir.CanonInt(in.ty, get(regs, consts, in.a)*get(regs, consts, in.b))
-		case ir.OpSDiv, ir.OpSRem:
-			x := ir.SignedValue(in.ty, get(regs, consts, in.a))
-			y := ir.SignedValue(in.ty, get(regs, consts, in.b))
-			if y == 0 {
-				e.trap = &Trap{Kind: TrapDivZero, Fn: cf.name}
-				return 0, false
-			}
-			minInt := int64(math.MinInt64)
-			if in.ty == ir.I32 {
-				minInt = math.MinInt32
-			}
-			if x == minInt && y == -1 {
-				e.trap = &Trap{Kind: TrapDivOverflow, Fn: cf.name}
-				return 0, false
-			}
-			if in.op == ir.OpSDiv {
-				v = ir.CanonInt(in.ty, uint64(x/y))
-			} else {
-				v = ir.CanonInt(in.ty, uint64(x%y))
-			}
-		case ir.OpShl, ir.OpLShr, ir.OpAShr, ir.OpAnd, ir.OpOr, ir.OpXor,
-			ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv, ir.OpGEP:
-			v = evalFusedArith(in.op, in.ty, get(regs, consts, in.a), get(regs, consts, in.b))
-		case ir.OpICmpEQ, ir.OpICmpNE, ir.OpICmpSLT, ir.OpICmpSLE, ir.OpICmpSGT, ir.OpICmpSGE,
-			ir.OpFCmpOEQ, ir.OpFCmpONE, ir.OpFCmpOLT, ir.OpFCmpOLE, ir.OpFCmpOGT, ir.OpFCmpOGE:
-			v = evalCmp(in.op, in.srcTy, get(regs, consts, in.a), get(regs, consts, in.b))
-		case ir.OpTrunc, ir.OpZExt:
-			v = ir.CanonInt(in.ty, get(regs, consts, in.a))
-		case ir.OpSExt:
-			v = ir.CanonInt(in.ty, uint64(ir.SignedValue(in.srcTy, get(regs, consts, in.a))))
-		case ir.OpSIToFP:
-			v = math.Float64bits(float64(ir.SignedValue(in.srcTy, get(regs, consts, in.a))))
-		case ir.OpFPToSI:
-			v = fpToSI(in.ty, math.Float64frombits(get(regs, consts, in.a)))
-		case ir.OpSelect:
-			if get(regs, consts, in.a)&1 != 0 {
-				v = get(regs, consts, in.b)
-			} else {
-				v = get(regs, consts, in.c)
-			}
-		case ir.OpAlloca:
-			count := int64(get(regs, consts, in.a))
-			if count < 0 || count > e.maxMem || e.memTop+count > e.maxMem {
-				e.trap = &Trap{Kind: TrapBadAlloc, Fn: cf.name}
-				return 0, false
-			}
-			base := e.memTop
-			e.memTop += count
-			if int64(len(e.mem)) < e.memTop {
-				e.growMem(e.memTop)
-			}
-			// Zero the region: stack memory may be reused across frames and
-			// determinism requires a fixed initial state.
-			e.clearClaimed(base)
-			if e.dirty != nil {
-				e.markDirty(base, e.memTop)
-			}
-			if track {
-				clear(e.taintMem[base:e.memTop])
-				tIn = false // a fresh allocation's address is clean
-			}
-			v = uint64(base)
-		case ir.OpLoad:
-			addr := get(regs, consts, in.a)
-			if !e.checkAddr(cf.name, addr) {
-				return 0, false
-			}
-			if track && e.taintMem[addr] {
-				tIn = true
-			}
-			v = ir.CanonInt(in.ty, e.mem[addr])
-		case ir.OpStore:
-			addr := get(regs, consts, in.b)
-			if !e.checkAddr(cf.name, addr) {
-				return 0, false
-			}
-			e.store(addr, get(regs, consts, in.a))
-			if e.dirty != nil {
-				e.dirty[addr>>pageShift] = true
-			}
-			if track {
-				tVal := taintOf(taint, in.a)
-				tPtr := taintOf(taint, in.b)
-				e.taintMem[addr] = tVal || tPtr
-				if tVal || tPtr {
-					e.taintStats.TaintedMemWrites++
-				}
-				if tPtr {
-					e.taintStats.WildStores++
-				}
-			}
-			pc++
-			continue
-		case ir.OpCall:
-			if in.callee >= 0 {
-				// User call: suspend this frame and push the callee; its
-				// return value is delivered by the OpRet resume path above.
-				if len(e.frames) >= e.maxDep {
-					e.trap = &Trap{Kind: TrapStackOverflow, Fn: e.p.funcs[in.callee].name}
-					return 0, false
-				}
-				fr.pc = pc
-				callerOff, callerN := fr.regOff, fr.nSlots
-				e.pushFrame(in.callee)
-				// pushFrame may reallocate the slabs and the frame stack;
-				// re-derive the caller's window before reading argument refs.
-				callerRegs := e.regSlab[callerOff : callerOff+callerN]
-				nf := e.frames[len(e.frames)-1]
-				dst := e.regSlab[nf.regOff : nf.regOff+int32(len(in.args))]
-				for i, r := range in.args {
-					dst[i] = get(callerRegs, consts, r)
-				}
-				if track {
-					callerTaint := e.taintSlab[callerOff : callerOff+callerN]
-					td := e.taintSlab[nf.regOff : nf.regOff+int32(len(in.args))]
-					for i, r := range in.args {
-						td[i] = taintOf(callerTaint, r)
-					}
-				}
-				reenter()
-				continue
-			}
-			v = e.intrinsic(in, regs, consts, taint)
-			if track {
-				tIn = e.retTaint
-			}
-			if in.dst < 0 { // void call (print intrinsics)
-				pc++
-				continue
-			}
-		default:
-			panic(fmt.Sprintf("interp: unhandled opcode %v", in.op))
-		}
-
-		preInj := e.injected
-		v, ok := e.result(in.id, in.ty, v)
-		if !ok {
-			return 0, false
-		}
-		regs[in.dst] = v
-		if track {
-			t := tIn || (e.injected && !preInj)
-			taint[in.dst] = t
-			if t {
-				e.noteTaint(in.id)
-			}
-		}
-		pc++
-	}
 }
 
 func b2u(b bool) uint64 {
@@ -1104,24 +582,11 @@ func fpToSI(ty ir.Type, f float64) uint64 {
 	return uint64(int64(f))
 }
 
-// intrinsic evaluates a built-in call and returns its value. When tracking,
-// the return-value taint (any tainted argument) is left in e.retTaint.
-func (e *exec) intrinsic(in *inst, regs, consts []uint64, taint []bool) uint64 {
+// intrinsic evaluates a built-in call and returns its value.
+func (e *exec) intrinsic(in *inst, regs, consts []uint64) uint64 {
 	intr := -in.callee - 1
 	a := func(i int) uint64 { return get(regs, consts, in.args[i]) }
 	f := func(i int) float64 { return math.Float64frombits(a(i)) }
-	if e.taintStats != nil {
-		e.retTaint = false
-		for _, r := range in.args {
-			if taintOf(taint, r) {
-				e.retTaint = true
-				break
-			}
-		}
-		if (intr == intrPrintI64 || intr == intrPrintF64) && e.retTaint {
-			e.taintStats.TaintedOutputs++
-		}
-	}
 	switch intr {
 	case intrSqrt:
 		return math.Float64bits(math.Sqrt(f(0)))

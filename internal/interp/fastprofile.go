@@ -4,18 +4,20 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/fault"
 	"repro/internal/ir"
 )
 
-// This file implements the profiling fast path used by GA fitness
-// evaluation and the small-input fuzzer's coverage checks: a dispatch loop
-// stripped of fault injection, taint tracking and checkpointing, counting
-// executions per basic block (one counter bump per block entry, Ball–Larus
-// style) instead of per static instruction, over the same fused
-// superinstruction code array as the generic loop. Observable behaviour —
-// outputs, return value, dynamic instruction count, traps, budget
-// exhaustion and the reconstructed per-instruction count vector — is
-// bit-identical to a profiled interp.Run.
+// This file implements runFast, the engine's production dispatch loop,
+// and the profiling front end built on it. Golden runs, GA fitness
+// profiles, snapshot recording and every fault-injection trial execute
+// here; only taint tracking takes the per-instruction loop (taint.go). The
+// loop counts executions per basic block (one counter bump per block
+// entry, Ball–Larus style) instead of per static instruction, over the
+// fused superinstruction code array. Observable behaviour — outputs, return
+// value, dynamic instruction count, traps, budget exhaustion and the
+// reconstructed per-instruction count vector — is bit-identical to the
+// reference interpreter (interptest).
 //
 // Counter model. The program has one int64 counter per basic block followed
 // by one per phi-carrying CFG edge (Program.CounterLen() total). A block's
@@ -32,6 +34,12 @@ import (
 // records the block's actually-executed prefix in e.overlay (+1 per listed
 // id); handlers append additional overlay entries for work completed inside
 // the aborting slot (finished phi moves, the first half of a fused pair).
+//
+// Stops. Every counted instruction compares its dyn index with e.limit,
+// min(maxDyn, next stop), the comparison a budget check needs anyway; a
+// profiling run has no stop, so its limit is the budget. Passing the limit
+// enters the cold trip, which exhausts the budget, fires the armed fault or
+// records the due snapshot, then re-arms the limit.
 
 // Profiler runs profiled executions of one Program with zero steady-state
 // allocation: the machine state (memory, register slabs, counters, output
@@ -46,9 +54,7 @@ type Profiler struct {
 
 // NewProfiler returns a Profiler for p.
 func NewProfiler(p *Program) *Profiler {
-	pr := &Profiler{p: p, e: newExec(p, Options{})}
-	pr.e.blockCounts = make([]int64, p.CounterLen())
-	return pr
+	return &Profiler{p: p, e: newExec(p, Options{})}
 }
 
 // Program returns the compiled program this profiler executes.
@@ -63,14 +69,8 @@ func (pr *Profiler) Run(args []uint64, maxDyn int64) *ProfileRun {
 	r := &pr.run
 	*r = ProfileRun{prog: pr.p, prof: pr}
 	e := pr.e
-	entry := pr.p.funcs[pr.p.entry]
-	if len(args) != entry.nParams {
-		panic(fmt.Sprintf("interp: entry %s takes %d args, got %d", entry.name, entry.nParams, len(args)))
-	}
-	e.resetFast(maxDyn)
-	e.pushFrame(pr.p.entry)
-	copy(e.regSlab[:len(args)], args)
-	e.blockCounts[entry.blockBase]++
+	e.reset(maxDyn)
+	e.start(nil, args)
 	ret, ok := e.runFast()
 	if !ok {
 		e.fixupAbort()
@@ -135,31 +135,73 @@ func (r *ProfileRun) Fitness(counterScores []float64) float64 {
 
 // InstrCounts materializes the per-static-instruction execution count
 // vector into dst (grown/reset as needed), reconstructing it from block and
-// edge counters plus the abort overlay. The result is bit-identical to a
-// profiled interp.Run's Result.InstrCounts.
+// edge counters plus the abort overlay.
 func (r *ProfileRun) InstrCounts(dst []int64) []int64 {
-	n := r.prog.numInstrs
+	return r.prog.foldCounts(dst, r.counters, r.overlay)
+}
+
+// foldCounts folds block/edge counters and an abort overlay into the
+// per-static-instruction count vector, written into dst (grown/reset as
+// needed).
+func (p *Program) foldCounts(dst, counters []int64, overlay []int32) []int64 {
+	n := p.numInstrs
 	if cap(dst) < n {
 		dst = make([]int64, n)
 	} else {
 		dst = dst[:n]
-		clear(dst)
 	}
 	for id := 0; id < n; id++ {
-		if b := r.prog.instrBlock[id]; b >= 0 {
-			dst[id] = r.counters[b]
+		if b := p.instrBlock[id]; b >= 0 {
+			dst[id] = counters[b]
 		} else {
 			var s int64
-			for _, ec := range r.prog.phiEdges[id] {
-				s += r.counters[ec]
+			for _, ec := range p.phiEdges[id] {
+				s += counters[ec]
 			}
 			dst[id] = s
 		}
 	}
-	for _, id := range r.overlay {
+	for _, id := range overlay {
 		dst[id]++
 	}
 	return dst
+}
+
+// occurrences returns how many times static instruction id has completed
+// in a machine state at a slot boundary, read from its block/edge counters
+// and live frames: a frame's current block was counted on entry, so —
+// the walk fixupAbort does — id counts there only if it sits before the
+// frame's pc. An id out of range never executes and reads as MaxInt64, so
+// no plan on it can fire.
+func occurrences(p *Program, counters []int64, frames []frame, id int) int64 {
+	if id < 0 || id >= p.numInstrs {
+		return math.MaxInt64
+	}
+	b := p.instrBlock[id]
+	if b < 0 {
+		var n int64
+		for _, ec := range p.phiEdges[id] {
+			n += counters[ec]
+		}
+		return n
+	}
+	n := counters[b]
+	for i := range frames {
+		fr := &frames[i]
+		cf := p.funcs[fr.fi]
+		lb := cf.blockOf[fr.pc]
+		if cf.blockBase+lb != b {
+			continue
+		}
+		n--
+		for pc := cf.blockStart[lb]; pc < fr.pc; pc++ {
+			if in := &cf.code[pc]; int(in.id) == id || int(in.id2) == id {
+				n++
+				break
+			}
+		}
+	}
+	return n
 }
 
 // Counters copies the run's block/edge hit counters into dst (grown as
@@ -201,12 +243,12 @@ func (r *ProfileRun) Coverage() float64 {
 	return float64(r.CoveredInstrs()) / float64(r.prog.numInstrs)
 }
 
-// resetFast rewinds the machine state for the next fast-path run. Memory
-// contents are deliberately NOT cleared: word 0 is never written (checkAddr
-// rejects address 0), loads can only reach addresses below memTop, and
-// every address below memTop was claimed by an OpAlloca that zeroed it —
-// so a fresh run cannot observe a previous run's memory.
-func (e *exec) resetFast(maxDyn int64) {
+// reset rewinds a reused machine (Profiler, Injector) for its next run.
+// Memory contents are deliberately NOT cleared: word 0 is never written
+// (checkAddr rejects address 0), loads can only reach addresses below
+// memTop, and every address below memTop was claimed by an OpAlloca that
+// zeroed it — so a fresh run cannot observe a previous run's memory.
+func (e *exec) reset(maxDyn int64) {
 	e.memTop = 1
 	e.dyn = 0
 	e.maxDyn = maxDyn
@@ -219,15 +261,16 @@ func (e *exec) resetFast(maxDyn int64) {
 	e.trap = nil
 	e.budget = false
 	e.detected = false
+	e.injected, e.injID, e.injBit, e.occSeen = false, 0, 0, 0
 	clear(e.blockCounts)
 	e.overlay = e.overlay[:0]
 }
 
-// applyMovesFast performs the phi parallel copies of a CFG edge on the fast
-// path, advancing the caller's local dyn clock. On budget exhaustion the
-// aborting move is uncounted (matching result semantics) and the completed
-// moves' phi ids are recorded in the overlay, since the edge counter that
-// would have covered them is never bumped.
+// applyMovesFast performs the phi parallel copies of a CFG edge leaving the
+// top frame's slot at fr.pc, which the caller syncs, advancing the caller's
+// local dyn clock. On an abort the completed moves' phi ids are recorded in
+// the overlay, since the edge counter that would have covered them is never
+// bumped.
 func (e *exec) applyMovesFast(moves []move, regs, consts []uint64, dyn int64) (int64, bool) {
 	if cap(e.moveBuf) < len(moves) {
 		e.moveBuf = make([]uint64, len(moves))
@@ -236,19 +279,115 @@ func (e *exec) applyMovesFast(moves []move, regs, consts []uint64, dyn int64) (i
 	for i, mv := range moves {
 		buf[i] = get(regs, consts, mv.src)
 	}
-	maxDyn := e.maxDyn
 	for i, mv := range moves {
 		dyn++
-		if dyn > maxDyn {
-			e.budget = true
-			for _, done := range moves[:i] {
-				e.overlay = append(e.overlay, done.phiID)
+		if dyn > e.limit {
+			var ok bool
+			if buf[i], ok = e.tripMove(dyn, mv, buf[i], moves[:i]); !ok {
+				for _, m := range moves[:i] {
+					e.overlay = append(e.overlay, m.phiID)
+				}
+				return dyn, false
 			}
-			return dyn, false
 		}
 		regs[mv.dst] = buf[i]
 	}
 	return dyn, true
+}
+
+// tripMove is trip for phi move mv of the edge leaving the top frame's
+// slot, after the edge's moves done; an opFusedCmpBr slot's comparison
+// has completed too. It keeps the slot pc and the comparison off the
+// argument list of applyMovesFast, which every phi edge calls.
+func (e *exec) tripMove(dyn int64, mv move, v uint64, done []move) (uint64, bool) {
+	fr := &e.frames[len(e.frames)-1]
+	slot := &e.p.funcs[fr.fi].code[fr.pc]
+	cmp := int32(-1)
+	if slot.op == opFusedCmpBr {
+		cmp = slot.id
+	}
+	return e.trip(fr.pc, dyn, mv.phiID, mv.ty, v, cmp, done)
+}
+
+// tripRet is trip for a call's result, counted after its callee's frame
+// was popped. A snapshot there must see the callee still at its ret, the
+// state the slot started in, so for the trip's duration the frame (intact
+// above the stack top, its pc synced by OpRet) and its register window
+// come back. memTop stays at the callee's base: the ret lowers it there
+// first on resume, so the callee's stack memory is unobservable.
+func (e *exec) tripRet(dyn int64, cin *inst, rv uint64) (uint64, bool) {
+	n := len(e.frames)
+	e.frames = e.frames[:n+1]
+	callee := &e.frames[n]
+	slabTop := e.slabTop
+	e.slabTop = int(callee.regOff + callee.nSlots)
+	v, ok := e.trip(callee.pc, dyn, cin.id, cin.ty, rv, -1, nil)
+	e.frames, e.slabTop = e.frames[:n], slabTop
+	return v, ok
+}
+
+// trip is runFast's cold path, entered when a counted instruction's dyn
+// index passes e.limit: static instruction id of type ty is about to
+// produce v as dynamic instruction dyn, at slot pc of the top frame, after
+// the slot's already-completed sub-instructions — done (a fused pair's
+// first half or comparison, else -1) and doneMoves (the phi moves applied
+// so far on this edge). trip syncs the top frame's pc, then exhausts the
+// budget (false: abort, with e.dyn synced), fires the armed fault or
+// records the due snapshot, re-arms e.limit and returns the value to
+// commit.
+func (e *exec) trip(pc int32, dyn int64, id int32, ty ir.Type, v uint64, done int32, doneMoves []move) (uint64, bool) {
+	e.frames[len(e.frames)-1].pc = pc
+	if dyn > e.maxDyn {
+		e.budget = true
+		e.dyn = dyn
+		return v, false
+	}
+	stop := int64(math.MaxInt64)
+	switch pl := e.plan; {
+	case e.ckpt != nil:
+		// A snapshot is resumable only where nothing of the slot has run
+		// yet; mid-slot (a fused pair's second half, mid phi-edge) it is
+		// deferred to the next counted instruction.
+		stop = dyn
+		if done < 0 && len(doneMoves) == 0 {
+			e.dyn = dyn - 1
+			e.takeSnapshot()
+			stop = e.nextCkpt
+		}
+	case pl != nil && !e.injected:
+		var occ int64
+		if pl.Mode == fault.ModeStatic {
+			if dyn == e.occDyn+1 {
+				// Nothing has run since the count at the previous stop, which
+				// included that stop's own instruction. A rare target with
+				// one occurrence left stops at every instruction, so this
+				// skips the walk on all but the first of them.
+				occ = e.occSeen
+			} else {
+				occ = occurrences(e.p, e.blockCounts, e.frames, pl.StaticID)
+				for _, mv := range doneMoves {
+					if int(mv.phiID) == pl.StaticID {
+						occ++
+					}
+				}
+				if int(done) == pl.StaticID {
+					occ++
+				}
+			}
+			if int(id) == pl.StaticID {
+				occ++
+			}
+			e.occSeen, e.occDyn = occ, dyn
+		}
+		if pl.Mode == fault.ModeStatic && int(id) == pl.StaticID && occ == pl.Occurrence ||
+			pl.Mode == fault.ModeDynamic && dyn == pl.TargetDyn {
+			v = e.applyFault(id, ty, v)
+		} else {
+			stop = e.planStop(dyn, occ)
+		}
+	}
+	e.limit = min(e.maxDyn, stop)
+	return v, true
 }
 
 // fixupAbort repairs the block counters after an aborted fast-path run: for
@@ -348,13 +487,15 @@ func evalFusedArith(op ir.Op, ty ir.Type, x, y uint64) uint64 {
 	}
 }
 
-// runFast is the profiling fast path's dispatch loop: the generic run()
-// minus fault injection, taint tracking and checkpointing, with block/edge
-// counters in place of per-instruction counting, and the frame re-entry and
-// abort paths hand-inlined — the generic loop's reenter closure forces its
-// captured locals (pc, regs, code) into heap cells, which is exactly the
-// overhead a fitness-evaluation inner loop cannot afford. The dyn clock
-// lives in a local and is synced to e.dyn at every exit.
+// runFast is the production dispatch loop: block/edge counters in place of
+// per-instruction counting, stops folded into the budget comparison (see
+// trip), and the frame re-entry and abort paths hand-inlined — a reenter
+// closure would force its captured locals (pc, regs, code) into heap cells,
+// which is exactly the overhead a fitness-evaluation inner loop cannot
+// afford. The dyn clock lives in a local, synced to e.dyn at every exit.
+// The limit is read from e at each check rather than cached: a local
+// that trip re-arms becomes a loop-carried value that the compiler spills
+// and reloads around every check, where the field costs one load.
 func (e *exec) runFast() (uint64, bool) {
 	var (
 		fr     *frame
@@ -363,10 +504,10 @@ func (e *exec) runFast() (uint64, bool) {
 		consts []uint64
 		code   []inst
 		pc     int32
+		ok     bool
 	)
 	counters := e.blockCounts
 	dyn := e.dyn
-	maxDyn := e.maxDyn
 
 	fr = &e.frames[len(e.frames)-1]
 	cf = e.p.funcs[fr.fi]
@@ -380,10 +521,8 @@ func (e *exec) runFast() (uint64, bool) {
 		switch in.op {
 		case ir.OpBr:
 			if len(in.movesA) != 0 {
-				var ok bool
-				dyn, ok = e.applyMovesFast(in.movesA, regs, consts, dyn)
-				if !ok {
-					fr.pc, e.dyn = pc, dyn
+				fr.pc = pc
+				if dyn, ok = e.applyMovesFast(in.movesA, regs, consts, dyn); !ok {
 					return 0, false
 				}
 				counters[in.edgeA]++
@@ -398,10 +537,8 @@ func (e *exec) runFast() (uint64, bool) {
 				moves, edge, blk, jump = in.movesA, in.edgeA, in.blkA, in.jumpA
 			}
 			if len(moves) != 0 {
-				var ok bool
-				dyn, ok = e.applyMovesFast(moves, regs, consts, dyn)
-				if !ok {
-					fr.pc, e.dyn = pc, dyn
+				fr.pc = pc
+				if dyn, ok = e.applyMovesFast(moves, regs, consts, dyn); !ok {
 					return 0, false
 				}
 				counters[edge]++
@@ -413,24 +550,22 @@ func (e *exec) runFast() (uint64, bool) {
 		case opFusedCmpBr:
 			v := evalCmp(in.op1, in.srcTy, get(regs, consts, in.a), get(regs, consts, in.b))
 			dyn++
-			if dyn > maxDyn {
-				e.budget = true
-				fr.pc, e.dyn = pc, dyn
-				return 0, false
+			if dyn > e.limit {
+				if v, ok = e.trip(pc, dyn, in.id, in.ty, v, -1, nil); !ok {
+					return 0, false
+				}
 			}
 			regs[in.dst] = v
 			moves, edge, blk, jump := in.movesB, in.edgeB, in.blkB, in.jumpB
-			if v != 0 {
+			if v&1 != 0 {
 				moves, edge, blk, jump = in.movesA, in.edgeA, in.blkA, in.jumpA
 			}
 			if len(moves) != 0 {
-				var ok bool
-				dyn, ok = e.applyMovesFast(moves, regs, consts, dyn)
-				if !ok {
+				fr.pc = pc
+				if dyn, ok = e.applyMovesFast(moves, regs, consts, dyn); !ok {
 					// The comparison executed and counted; the fixup prefix
 					// walk stops before this slot, so overlay it explicitly.
 					e.overlay = append(e.overlay, in.id)
-					fr.pc, e.dyn = pc, dyn
 					return 0, false
 				}
 				counters[edge]++
@@ -445,20 +580,21 @@ func (e *exec) runFast() (uint64, bool) {
 				fr.pc, e.dyn = pc, dyn
 				return 0, false
 			}
+			v1 := ir.CanonInt(in.ty, e.mem[addr])
 			dyn++
-			if dyn > maxDyn {
-				e.budget = true
-				fr.pc, e.dyn = pc, dyn
-				return 0, false
+			if dyn > e.limit {
+				if v1, ok = e.trip(pc, dyn, in.id, in.ty, v1, -1, nil); !ok {
+					return 0, false
+				}
 			}
-			regs[in.dst] = ir.CanonInt(in.ty, e.mem[addr])
+			regs[in.dst] = v1
 			v2 := evalFusedArith(in.op2, in.ty2, get(regs, consts, in.a2), get(regs, consts, in.b2))
 			dyn++
-			if dyn > maxDyn {
-				e.budget = true
-				e.overlay = append(e.overlay, in.id)
-				fr.pc, e.dyn = pc, dyn
-				return 0, false
+			if dyn > e.limit {
+				if v2, ok = e.trip(pc, dyn, in.id2, in.ty2, v2, in.id, nil); !ok {
+					e.overlay = append(e.overlay, in.id)
+					return 0, false
+				}
 			}
 			regs[in.dst2] = v2
 			pc++
@@ -467,10 +603,10 @@ func (e *exec) runFast() (uint64, bool) {
 		case opFusedArithLoad:
 			v1 := evalFusedArith(in.op1, in.ty, get(regs, consts, in.a), get(regs, consts, in.b))
 			dyn++
-			if dyn > maxDyn {
-				e.budget = true
-				fr.pc, e.dyn = pc, dyn
-				return 0, false
+			if dyn > e.limit {
+				if v1, ok = e.trip(pc, dyn, in.id, in.ty, v1, -1, nil); !ok {
+					return 0, false
+				}
 			}
 			regs[in.dst] = v1
 			addr := get(regs, consts, in.a2)
@@ -479,24 +615,25 @@ func (e *exec) runFast() (uint64, bool) {
 				fr.pc, e.dyn = pc, dyn
 				return 0, false
 			}
+			v2 := ir.CanonInt(in.ty2, e.mem[addr])
 			dyn++
-			if dyn > maxDyn {
-				e.budget = true
-				e.overlay = append(e.overlay, in.id)
-				fr.pc, e.dyn = pc, dyn
-				return 0, false
+			if dyn > e.limit {
+				if v2, ok = e.trip(pc, dyn, in.id2, in.ty2, v2, in.id, nil); !ok {
+					e.overlay = append(e.overlay, in.id)
+					return 0, false
+				}
 			}
-			regs[in.dst2] = ir.CanonInt(in.ty2, e.mem[addr])
+			regs[in.dst2] = v2
 			pc++
 			continue
 
 		case opFusedArithStore:
 			v1 := evalFusedArith(in.op1, in.ty, get(regs, consts, in.a), get(regs, consts, in.b))
 			dyn++
-			if dyn > maxDyn {
-				e.budget = true
-				fr.pc, e.dyn = pc, dyn
-				return 0, false
+			if dyn > e.limit {
+				if v1, ok = e.trip(pc, dyn, in.id, in.ty, v1, -1, nil); !ok {
+					return 0, false
+				}
 			}
 			regs[in.dst] = v1
 			addr := get(regs, consts, in.b2)
@@ -512,19 +649,19 @@ func (e *exec) runFast() (uint64, bool) {
 		case opFusedArithArith:
 			v1 := evalFusedArith(in.op1, in.ty, get(regs, consts, in.a), get(regs, consts, in.b))
 			dyn++
-			if dyn > maxDyn {
-				e.budget = true
-				fr.pc, e.dyn = pc, dyn
-				return 0, false
+			if dyn > e.limit {
+				if v1, ok = e.trip(pc, dyn, in.id, in.ty, v1, -1, nil); !ok {
+					return 0, false
+				}
 			}
 			regs[in.dst] = v1
 			v2 := evalFusedArith(in.op2, in.ty2, get(regs, consts, in.a2), get(regs, consts, in.b2))
 			dyn++
-			if dyn > maxDyn {
-				e.budget = true
-				e.overlay = append(e.overlay, in.id)
-				fr.pc, e.dyn = pc, dyn
-				return 0, false
+			if dyn > e.limit {
+				if v2, ok = e.trip(pc, dyn, in.id2, in.ty2, v2, in.id, nil); !ok {
+					e.overlay = append(e.overlay, in.id)
+					return 0, false
+				}
 			}
 			regs[in.dst2] = v2
 			pc++
@@ -535,6 +672,7 @@ func (e *exec) runFast() (uint64, bool) {
 			if cf.retTy != ir.Void {
 				rv = get(regs, consts, in.a)
 			}
+			fr.pc = pc // a snapshot at the call's result resumes at this ret (tripRet)
 			e.memTop = fr.memBase
 			e.slabTop = int(fr.regOff)
 			e.frames = e.frames[:len(e.frames)-1]
@@ -555,10 +693,10 @@ func (e *exec) runFast() (uint64, bool) {
 				continue
 			}
 			dyn++
-			if dyn > maxDyn {
-				e.budget = true
-				fr.pc, e.dyn = pc, dyn
-				return 0, false
+			if dyn > e.limit {
+				if rv, ok = e.tripRet(dyn, cin, rv); !ok {
+					return 0, false
+				}
 			}
 			regs[cin.dst] = rv
 			pc++
@@ -622,15 +760,25 @@ func (e *exec) runFast() (uint64, bool) {
 				fr.pc, e.dyn = pc, dyn
 				return 0, false
 			}
+			v = uint64(e.memTop)
+			dyn++
+			if dyn > e.limit {
+				if v, ok = e.trip(pc, dyn, in.id, in.ty, v, -1, nil); !ok {
+					return 0, false
+				}
+			}
+			// Claim after the count, so a trip sees the slot untouched.
+			// Zeroing claimed stack memory is what lets reset skip clearing
+			// e.mem between runs.
 			base := e.memTop
 			e.memTop += count
 			if int64(len(e.mem)) < e.memTop {
 				e.growMem(e.memTop)
 			}
-			// Zeroing claimed stack memory is what lets resetFast skip
-			// clearing e.mem between runs.
 			e.clearClaimed(base)
-			v = uint64(base)
+			regs[in.dst] = v
+			pc++
+			continue
 		case ir.OpLoad:
 			addr := get(regs, consts, in.a)
 			if !e.checkAddr(cf.name, addr) {
@@ -674,20 +822,22 @@ func (e *exec) runFast() (uint64, bool) {
 				counters[cf.blockBase]++
 				continue
 			}
-			v = e.intrinsic(in, regs, consts, nil)
-			if in.dst < 0 { // void call (print intrinsics)
+			// Intrinsics with a result are pure; the printing and
+			// detecting ones are void and never count.
+			v = e.intrinsic(in, regs, consts)
+			if in.dst < 0 {
 				pc++
 				continue
 			}
 		default:
-			panic(fmt.Sprintf("interp: unhandled opcode %v in fast path", in.op))
+			panic(fmt.Sprintf("interp: unhandled opcode %v", in.op))
 		}
 
 		dyn++
-		if dyn > maxDyn {
-			e.budget = true
-			fr.pc, e.dyn = pc, dyn
-			return 0, false
+		if dyn > e.limit {
+			if v, ok = e.trip(pc, dyn, in.id, in.ty, v, -1, nil); !ok {
+				return 0, false
+			}
 		}
 		regs[in.dst] = v
 		pc++

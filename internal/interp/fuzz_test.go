@@ -12,11 +12,14 @@ import (
 // FuzzEngineMatchesReference executes random verified modules on the engine
 // and on the reference interpreter (internal/interp/interptest) and
 // requires identical behaviour: a profiled Run, a block-counting Profiler
-// run and faulted Runs under a dynamic and a static plan. seed picks the
-// module (irtest.RandomModule), a, b and x its arguments, cut an optional
-// dynamic budget (0: none) and target the injection point. The committed
-// corpus under testdata/fuzz runs with every plain `go test`; `make
-// test-fuzz` explores beyond it for a bounded time.
+// run, a golden recording snapshots at a small interval derived from cut,
+// and, under a dynamic and a static plan, a faulted Run, an Injector trial
+// resumed from those snapshots and a TrackPropagation trial (compared on
+// its non-taint fields). seed picks the module (irtest.RandomModule), a, b
+// and x its arguments, cut an optional dynamic budget (0: none) and the
+// snapshot interval, and target the injection point. The committed corpus
+// under testdata/fuzz runs with every plain `go test`; `make test-fuzz`
+// explores beyond it for a bounded time.
 func FuzzEngineMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, a, b int64, x float64, cut uint16, target uint32) {
 		p, err := Compile(irtest.RandomModule(xrand.New(seed)))
@@ -37,6 +40,8 @@ func FuzzEngineMatchesReference(f *testing.F) {
 		if full.DynCount == 0 {
 			return
 		}
+		golden := Run(p, args, Options{Profile: true, CheckpointInterval: 1 + int64(cut%32)})
+		checkRef(t, "checkpointed", golden, full)
 		budget := full.DynCount*3 + 100
 		dyn := fault.SampleDynamic(xrand.New(seed), full.DynCount)
 		dyn.TargetDyn = 1 + int64(target)%full.DynCount
@@ -49,11 +54,15 @@ func FuzzEngineMatchesReference(f *testing.F) {
 		id := executed[int(target)%len(executed)]
 		static := fault.Plan{Mode: fault.ModeStatic, StaticID: id,
 			Occurrence: 1 + int64(target/7)%full.Counts[id], Bit: uint8(target % uint32(p.InstrType(id).Bits()))}
+		inj := NewInjector(p, Options{MaxDyn: budget})
 		for _, plan := range []fault.Plan{dyn, static} {
-			opts := Options{Plan: &plan, FaultRNG: xrand.New(seed + 1), MaxDyn: budget}
-			ref := opts
-			ref.FaultRNG = xrand.New(seed + 1)
-			checkRef(t, plan.String(), Run(p, args, opts), refRun(p, args, ref))
+			opts := func() Options { return Options{Plan: &plan, FaultRNG: xrand.New(seed + 1), MaxDyn: budget} }
+			ref := refRun(p, args, opts())
+			checkRef(t, plan.String(), Run(p, args, opts()), ref)
+			checkRef(t, plan.String()+"/injector", inj.Run(args, golden.Checkpoints, &plan, xrand.New(seed+1)), ref)
+			taint := opts()
+			taint.TrackPropagation = true
+			checkRef(t, plan.String()+"/taint", RunWithCheckpoints(p, args, golden.Checkpoints, taint), ref)
 		}
 	})
 }

@@ -91,51 +91,21 @@ func BenchmarkOverall(b *testing.B) {
 	})
 }
 
-// BenchmarkFitnessProfile measures one GA candidate evaluation — a profiled
-// reference-input run folded into the §4.2.5 fitness — two ways: perinstr
-// is a per-instruction profiled Run followed by a loop over the count
-// vector, fused the block-counting Profiler behind core.FitnessEval with its
-// counter-space fold. cmd/benchjson derives the per-benchmark
-// perinstr/fused speedup for BENCH_fitness.json. allocs/op is reported; the
-// fused path must be allocation-free in steady state.
+// BenchmarkFitnessProfile measures one GA candidate evaluation — a
+// reference-input run of the block-counting Profiler behind
+// core.FitnessEval, folded into the §4.2.5 fitness over the counter space —
+// on the same runFast loop every golden run and FI trial takes. allocs/op
+// is reported; the path must be allocation-free in steady state.
 func BenchmarkFitnessProfile(b *testing.B) {
-	setup := func(name string) (*prog.Benchmark, []float64) {
-		bench := prog.Build(name)
-		rng := xrand.New(7)
-		scores := make([]float64, bench.Prog.NumInstrs())
-		for i := range scores {
-			scores[i] = rng.Float64()
-		}
-		return bench, scores
-	}
-	b.Run("perinstr", func(b *testing.B) {
-		for _, name := range prog.Names() {
-			b.Run(name, func(b *testing.B) {
-				bench, scores := setup(name)
-				args := bench.Encode(bench.RefInput())
-				var dyn int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					r := interp.Run(bench.Prog, args, interp.Options{Profile: true, MaxDyn: bench.MaxDyn})
-					var acc float64
-					for id, n := range r.InstrCounts {
-						if n > 0 {
-							acc += scores[id] * float64(n)
-						}
-					}
-					sink = acc / float64(r.DynCount)
-					dyn = r.DynCount
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(dyn), "dyn/op")
-			})
-		}
-	})
 	b.Run("fused", func(b *testing.B) {
 		for _, name := range prog.Names() {
 			b.Run(name, func(b *testing.B) {
-				bench, scores := setup(name)
+				bench := prog.Build(name)
+				rng := xrand.New(7)
+				scores := make([]float64, bench.Prog.NumInstrs())
+				for i := range scores {
+					scores[i] = rng.Float64()
+				}
 				fe := core.NewFitnessEval(bench, scores)
 				in := bench.RefInput()
 				var dyn int64

@@ -20,6 +20,7 @@ package parallel
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,6 +76,11 @@ func ForEach(workers, n int, fn func(i int)) {
 // item and hands it to each fn call it makes — reusable scratch such as an
 // interpreter machine. Which items share a state depends on scheduling, so
 // fn's results must not depend on the state's history.
+//
+// A panic in newState or fn on a worker goroutine stops the other workers
+// from starting further items and, once they have drained, re-panics on
+// the calling goroutine with a WorkerPanic — so a caller that recovers
+// (a server running one job) survives it, as on the serial path.
 func ForEachWorker[S any](workers, n int, newState func() S, fn func(s S, i int)) {
 	if n <= 0 {
 		return
@@ -102,9 +108,10 @@ func ForEachWorker[S any](workers, n int, newState func() S, fn func(s S, i int)
 		return
 	}
 	var (
-		next  int64
-		wg    sync.WaitGroup
-		tasks []int
+		next     int64
+		wg       sync.WaitGroup
+		tasks    []int
+		panicked atomic.Pointer[WorkerPanic]
 	)
 	if obs != nil {
 		tasks = make([]int, w)
@@ -113,6 +120,16 @@ func ForEachWorker[S any](workers, n int, newState func() S, fn func(s S, i int)
 	for k := 0; k < w; k++ {
 		go func(k int) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					wp, nested := r.(*WorkerPanic) // keep a nested pool's innermost stack
+					if !nested {
+						wp = &WorkerPanic{Value: r, Stack: debug.Stack()}
+					}
+					panicked.CompareAndSwap(nil, wp)
+					atomic.StoreInt64(&next, int64(n)) // no worker starts another item
+				}
+			}()
 			s := newState()
 			for {
 				i := int(atomic.AddInt64(&next, 1)) - 1
@@ -127,9 +144,23 @@ func ForEachWorker[S any](workers, n int, newState func() S, fn func(s S, i int)
 		}(k)
 	}
 	wg.Wait()
+	if p := panicked.Load(); p != nil {
+		panic(p)
+	}
 	if obs != nil {
 		obs(w, n, tasks, time.Since(start))
 	}
+}
+
+// WorkerPanic is the value ForEachWorker re-panics with when a worker
+// goroutine panicked: the first recovered value and that goroutine's stack.
+type WorkerPanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *WorkerPanic) Error() string {
+	return fmt.Sprintf("parallel: worker panicked: %v\n\nworker stack:\n%s", p.Value, p.Stack)
 }
 
 // Map evaluates fn over [0, n) with ForEach and returns the results in

@@ -3,6 +3,7 @@ package parallel
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -425,5 +426,47 @@ func TestMemoPanicDoesNotPoison(t *testing.T) {
 	}
 	if st := m.Stats(); st.Misses != 2 || st.Hits != 1 {
 		t.Fatalf("stats %+v, want 2 misses (panic, retry) and 1 hit (waiter)", st)
+	}
+}
+
+// TestForEachWorkerPanicReachesCaller: a panic on one of 4 worker
+// goroutines must not crash the process. The other workers stop taking
+// items, and once every worker has returned the panic re-raises on the
+// calling goroutine, where an ordinary recover sees it.
+func TestForEachWorkerPanicReachesCaller(t *testing.T) {
+	const n = 1000
+	var started, running atomic.Int64
+	var got any
+	var runningAtRecover int64
+	func() {
+		defer func() {
+			got = recover()
+			runningAtRecover = running.Load()
+		}()
+		ForEachWorker(4, n, func() int { return 0 }, func(_ int, i int) {
+			started.Add(1)
+			running.Add(1)
+			defer running.Add(-1)
+			if i == 3 {
+				panic("boom")
+			}
+			time.Sleep(time.Millisecond)
+		})
+	}()
+	wp, ok := got.(*WorkerPanic)
+	if !ok {
+		t.Fatalf("recovered %T %v, want *WorkerPanic", got, got)
+	}
+	if wp.Value != "boom" || !strings.Contains(string(wp.Stack), "parallel_test.go") {
+		t.Fatalf("WorkerPanic lost the value or the worker stack: %v", wp)
+	}
+	if !strings.Contains(wp.Error(), "boom") {
+		t.Fatalf("WorkerPanic.Error() = %q", wp.Error())
+	}
+	if runningAtRecover != 0 {
+		t.Fatalf("%d items still running when the panic reached the caller", runningAtRecover)
+	}
+	if s := started.Load(); s >= n/2 {
+		t.Fatalf("%d of %d items started after the panic: workers did not stop", s, n)
 	}
 }

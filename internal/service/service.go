@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/parallel"
 	"repro/internal/prog"
 	"repro/internal/telemetry"
 )
@@ -162,6 +163,23 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// runJobRecovered is runJob with a panic — an engine invariant tripping
+// in the job's goroutine or, re-raised there by parallel.ForEachWorker, in
+// one of its campaign workers — turned into the job's error, so one broken
+// job ends in a job.error document instead of taking the daemon down.
+func (s *Server) runJobRecovered(ctx context.Context, spec *JobSpec, meter *tokenMeter, ew *eventWriter, rec *telemetry.Recorder) (res *JobResult, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			if wp, ok := p.(*parallel.WorkerPanic); ok {
+				p = wp.Value
+			}
+			s.rec.Count("service.jobs.panicked", 1)
+			res, err = nil, fmt.Errorf("job panicked: %v", p)
+		}
+	}()
+	return s.runJob(ctx, spec, meter, ew, rec)
+}
+
 // Shutdown stops admitting jobs and waits for inflight + queued jobs to
 // drain, or for ctx to expire. Streaming jobs observe their own request
 // contexts, so a hung client cannot stall a bounded shutdown.
@@ -300,7 +318,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	// event stream (as trace.* lines) ahead of the final result document.
 	rec := telemetry.New(telemetry.Options{Sink: ew.traceWriter()})
 	start := time.Now()
-	res, err := s.runJob(ctx, &spec, meter, ew, rec)
+	res, err := s.runJobRecovered(ctx, &spec, meter, ew, rec)
 	rec.Close()
 	if err != nil {
 		s.rec.Count("service.jobs.failed", 1)

@@ -465,3 +465,63 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 	t.Fatal("condition not reached within 10s")
 }
+
+// TestServiceJobPanicIsContained plants a broken golden-cache entry — a
+// pathfinder golden carrying needle's snapshots — so the interpreter's
+// program-identity check panics inside the job's campaign workers. The
+// daemon must survive: the job's stream ends in a single job.error, the
+// panic is counted, and the next job runs normally.
+func TestServiceJobPanicIsContained(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	be := s.cache.bench("pathfinder")
+	b := be.b
+	g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(b.RefInput()), b.MaxDyn, campaign.CheckpointAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb := prog.Build("needle")
+	ng, err := campaign.NewGoldenCheckpointed(nb.Prog, nb.Encode(nb.RefInput()), nb.MaxDyn, campaign.CheckpointAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Checkpoints = ng.Checkpoints
+	s.cache.goldens.Get(goldenKey(be.hash, b.RefInput(), campaign.CheckpointAuto, ""), func() (*goldenEntry, error) {
+		return &goldenEntry{g: g}, nil
+	})
+
+	for _, shards := range []int{1, 2} {
+		body, err := json.Marshal(&JobSpec{Kind: KindCampaign, Bench: "pathfinder", Trials: 40, Seed: 3, Workers: 4, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(stream)), "\n")
+		var last map[string]any
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+			t.Fatalf("shards=%d: bad final line %q: %v", shards, lines[len(lines)-1], err)
+		}
+		if last["ev"] != "job.error" || !strings.Contains(last["error"].(string), "job panicked") ||
+			!strings.Contains(last["error"].(string), "different program") {
+			t.Fatalf("shards=%d: stream does not end in the panic's job.error:\n%s", shards, stream)
+		}
+		if n := strings.Count(string(stream), `"ev":"job.error"`); n != 1 || strings.Contains(string(stream), `"ev":"job.result"`) {
+			t.Fatalf("shards=%d: want exactly one terminal job.error, stream:\n%s", shards, stream)
+		}
+		if got := s.rec.Counter("service.jobs.panicked"); got != int64(shards) {
+			t.Fatalf("shards=%d: service.jobs.panicked = %d", shards, got)
+		}
+	}
+
+	want := campaign.OverallParallel(nb.Prog, ng, 40, campaign.ParallelOptions{Workers: 1, Seed: 3})
+	if res := submit(t, ts, &JobSpec{Kind: KindCampaign, Bench: "needle", Trials: 40, Seed: 3, Workers: 4}); res.Counts != want {
+		t.Fatalf("job after the panic: %+v, want %+v", res.Counts, want)
+	}
+}
