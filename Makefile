@@ -42,11 +42,14 @@ bench-workers:
 # one, at the interpreter, campaign and parallel layers; snapshot pages are
 # shared exactly when their contents are equal, taint runs reject
 # profiling and checkpointing, and the Injector tests also gate the serial
-# trial path's steady-state allocations. The gate fails if the regex stops
+# trial path's steady-state allocations; every trial that ends early at
+# the convergence stop must finish, re-run to the end on a fresh machine and
+# on the reference interpreter, as a Benign run with its DynCount, return
+# value and output. The gate fails if the regex stops
 # matching any test in either package (go test would otherwise report "no
 # tests to run" and pass).
 test-checkpoint:
-	@re='Checkpoint|RunFrom|Snapshot|Injector'; \
+	@re='Checkpoint|RunFrom|Snapshot|Injector|Converge'; \
 	for pkg in ./internal/interp ./internal/campaign; do \
 		$(GO) test -list "$$re" $$pkg | grep -q '^Test' || \
 			{ echo "test-checkpoint: no test in $$pkg matches $$re"; exit 1; }; \
@@ -56,23 +59,25 @@ test-checkpoint:
 # Measure golden-run and 1000-trial campaign throughput — from scratch and
 # resuming per-trial from golden-prefix snapshots — and render the
 # machine-readable BENCH_fi.json artifact (per-benchmark ns/op, dyn/op,
-# skipped/op and the scratch/checkpointed campaign speedup).
+# skipped/op, converged/op and the scratch/checkpointed campaign speedup).
 bench-fi:
 	$(GO) test -run='^$$' -bench='Benchmark(Overall|Golden)' -benchtime=3x \
 		./internal/interp | tee BENCH_fi.txt
 	$(GO) run ./cmd/benchjson < BENCH_fi.txt > BENCH_fi.json
 	@echo "wrote BENCH_fi.json"
 
-# CI bench-regression gate: re-run the bench-fi, bench-compose and
-# bench-shard suites once (-benchtime=1x keeps it fast) and fail if any
-# per-benchmark speedup in the committed BENCH_*.json regressed by more than
-# TOLERANCE, or if the dyn/op or skipped/op of any benchmark present in
-# both reports differs at all. Speedup ratios cancel absolute host speed,
-# and the two metrics count instructions, so the committed baselines are
+# CI bench-regression gate: re-run the bench-fi suite at the -benchtime=3x
+# that made the committed BENCH_fi.json (so like is compared with like) and
+# the bench-compose and bench-shard suites once (their metrics are
+# instruction counts), and fail if any per-benchmark speedup in the
+# committed BENCH_*.json regressed by more than TOLERANCE, or if the dyn/op,
+# skipped/op or converged/op of any benchmark present in both reports
+# differs at all. Speedup ratios cancel absolute host speed, and the exact
+# metrics count instructions and trials, so the committed baselines are
 # comparable across machines.
 TOLERANCE ?= 0.15
 bench-regression:
-	$(GO) test -run='^$$' -bench='Benchmark(Overall|Golden)' -benchtime=1x \
+	$(GO) test -run='^$$' -bench='Benchmark(Overall|Golden)' -benchtime=3x \
 		./internal/interp | tee BENCH_fi.new.txt
 	$(GO) run ./cmd/benchjson < BENCH_fi.new.txt > BENCH_fi.new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_fi.json BENCH_fi.new.json -tolerance $(TOLERANCE)
@@ -177,7 +182,10 @@ test-service:
 # interpreter on random verified modules — profiled, profiler, checkpointed
 # golden, and per plan a fresh trial, an Injector trial resumed from the
 # golden's snapshots and a taint-tracking trial (failing inputs land in
-# internal/interp/testdata/fuzz as regression fixtures).
+# internal/interp/testdata/fuzz as regression fixtures) — plus a bounded
+# native-fuzzing run of the `peppax -file -spec` loader, prog.LoadCustom,
+# which must return an error or a runnable Benchmark, never panic (fixtures
+# in internal/prog/testdata/fuzz).
 test-fuzz:
 	$(GO) test -count=1 ./internal/fuzz
 	$(GO) test -count=1 -run 'Fuzz' ./internal/core
@@ -186,6 +194,8 @@ test-fuzz:
 		./internal/campaign
 	$(GO) test -count=1 -run '^$$' -fuzz '^FuzzEngineMatchesReference$$' -fuzztime 30s \
 		./internal/interp
+	$(GO) test -count=1 -run '^$$' -fuzz '^FuzzLoadCustom$$' -fuzztime 30s \
+		./internal/prog
 
 # Measure the deterministic shard critical path (dyncrit/op at 1 vs 2
 # shards) and the golden-cache setup elimination (cold vs warm setupdyn/op),

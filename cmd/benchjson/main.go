@@ -16,8 +16,9 @@
 // With -compare it acts as the CI bench-regression gate instead of a
 // converter: it reads two previously generated reports and exits non-zero
 // when any per-benchmark speedup present in both files regressed by more
-// than -tolerance (a fraction; 0.15 allows a 15% drop), or when dyn/op or
-// skipped/op of any benchmark present in both files differs at all:
+// than -tolerance (a fraction; 0.15 allows a 15% drop), or when dyn/op,
+// skipped/op or converged/op of any benchmark present in both files differs
+// at all:
 //
 //	benchjson -compare BENCH_fi.json BENCH_fi.new.json -tolerance 0.15
 package main
@@ -123,11 +124,12 @@ func cli(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 }
 
 // exactMetrics are the per-iteration deterministic metrics: a benchmark's
-// dyn/op (dynamic instructions interpreted) and skipped/op (golden-prefix
-// instructions the snapshot schedule saved) do not depend on the host or
-// the iteration count, so any difference is a change in what the program
-// executes, never noise.
-var exactMetrics = []string{"dyn/op", "skipped/op"}
+// dyn/op (dynamic instructions interpreted), skipped/op (golden-prefix
+// instructions the snapshot schedule saved) and converged/op (trials the
+// convergence stop ended early) do not depend on the host or the iteration
+// count, so any difference is a change in what the program executes, never
+// noise.
+var exactMetrics = []string{"dyn/op", "skipped/op", "converged/op"}
 
 // compareReports is the CI bench-regression gate: every per-benchmark
 // speedup present in the old report must still exist in the new one and be

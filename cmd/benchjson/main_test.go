@@ -223,15 +223,15 @@ func TestCompareToleranceFlagAfterPositionals(t *testing.T) {
 }
 
 // exactReport is a BENCH_fi-style report whose dyn/op and skipped/op can be
-// perturbed; benchmark names carry a GOMAXPROCS suffix, which the exact
-// check strips before matching.
+// perturbed (its converged/op is 82); benchmark names carry a GOMAXPROCS
+// suffix, which the exact check strips before matching.
 func exactReport(procs string, dyn, skipped float64) Report {
 	return Report{
 		Benchmarks: []Benchmark{
 			{Name: "BenchmarkGoldenRun/pathfinder-" + procs, NsPerOp: 1e6,
 				Metrics: map[string]float64{"dyn/op": 16704}},
 			{Name: "BenchmarkOverall/checkpointed/pathfinder-" + procs, NsPerOp: 7e7,
-				Metrics: map[string]float64{"dyn/op": dyn, "skipped/op": skipped}},
+				Metrics: map[string]float64{"dyn/op": dyn, "skipped/op": skipped, "converged/op": 82}},
 		},
 		OverallSpeedup: map[string]float64{"pathfinder": 2.2},
 	}
@@ -248,7 +248,7 @@ func TestCompareExactMetricsPass(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("identical deterministic metrics failed the gate (exit %d):\n%s", code, log)
 	}
-	if !strings.Contains(log, "exact dyn/op, skipped/op checked on 2 benchmarks") {
+	if !strings.Contains(log, "exact dyn/op, skipped/op, converged/op checked on 2 benchmarks") {
 		t.Fatalf("exact check did not match both benchmarks across GOMAXPROCS suffixes:\n%s", log)
 	}
 }
@@ -266,6 +266,11 @@ func TestCompareExactMetricMismatch(t *testing.T) {
 			delete(r.Benchmarks[1].Metrics, "skipped/op")
 			return r
 		}(), "skipped/op: 8156250 → absent"},
+		{"converged", func() Report {
+			r := exactReport("2", 14139045, 8156250)
+			r.Benchmarks[1].Metrics["converged/op"] = 81
+			return r
+		}(), "FAIL BenchmarkOverall/checkpointed/pathfinder converged/op: 82 → 81"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// The speedup is unchanged, so only the exact check can fail.

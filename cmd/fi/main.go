@@ -394,14 +394,16 @@ func runRemote(stdout, stderr io.Writer, b *prog.Benchmark, in []float64, spec *
 }
 
 // printCheckpointSummary reports how much golden-prefix replay the snapshot
-// schedule saved; silent when checkpointing is disabled.
+// schedule saved, and how much golden-suffix work the convergence stop
+// saved; silent when checkpointing is disabled.
 func printCheckpointSummary(w io.Writer, g *campaign.Golden) {
 	st := g.CheckpointStats()
 	if st.Snapshots == 0 {
 		return
 	}
-	fmt.Fprintf(w, "checkpoints: %d snapshots every %d dynamic instructions; %d/%d trials resumed, %d prefix instructions skipped\n\n",
+	fmt.Fprintf(w, "checkpoints: %d snapshots every %d dynamic instructions; %d/%d trials resumed, %d prefix instructions skipped\n",
 		st.Snapshots, st.Interval, st.Restored, st.Restored+st.Scratch, st.SkippedDyn)
+	fmt.Fprintf(w, "convergence: %d trials reconverged, %d dyn skipped\n\n", st.Converged, st.ConvergedDyn)
 }
 
 // modelDesc renders a fault-model name for campaign output lines.

@@ -234,6 +234,10 @@ func EmitCheckpointTelemetry(tr *telemetry.Stream, event string, st interp.Check
 	tr.Count("checkpoint.restored", st.Restored)
 	tr.Count("checkpoint.scratch", st.Scratch)
 	tr.Count("checkpoint.skipped_dyn", st.SkippedDyn)
+	// Convergence is counted in metrics only; the trace event keeps its
+	// fields.
+	tr.Count("checkpoint.converged", st.Converged)
+	tr.Count("checkpoint.converged_dyn", st.ConvergedDyn)
 	tr.Emit(event,
 		telemetry.F("snapshots", st.Snapshots),
 		telemetry.F("interval", st.Interval),

@@ -26,6 +26,13 @@ import (
 // snapshot memory scales with the pages written rather than the footprint.
 // Execution counts are captured as the block/edge counter space, from
 // which occurrences reads any static instruction's count.
+//
+// Convergence stop. The snapshots also end trials early. Once a trial's
+// fault has fired, runFast stops at each later snapshot's dyn clock; if the
+// trial is then at a slot boundary in the snapshot's state (matches), the
+// rest of the trial is the rest of the golden run, so it ends there and
+// reports the golden's end state (runEnd) as its own: a Benign run of the
+// golden's DynCount, return value and output.
 
 // pageWords is the snapshot page granularity (4 KiB of word-addressed
 // memory); pageShift is its log2.
@@ -49,6 +56,19 @@ type Snapshot struct {
 	detected bool
 }
 
+// runEnd is how a checkpointed golden run ended, recorded only when it
+// returned normally, together with the limits it ran under: a trial that
+// converges on one of its snapshots finishes exactly as it did, provided
+// the trial's own limits are no tighter.
+type runEnd struct {
+	dyn      int64
+	ret      uint64
+	output   []OutVal
+	detected bool
+	maxMem   int64
+	maxDep   int
+}
+
 // Dyn returns the dynamic instruction count at which the snapshot was taken.
 func (s *Snapshot) Dyn() int64 { return s.dyn }
 
@@ -61,10 +81,13 @@ type Checkpoints struct {
 	prog     *Program
 	interval int64
 	snaps    []*Snapshot
+	end      *runEnd // nil: the run did not return normally
 
-	restored atomic.Int64
-	scratch  atomic.Int64
-	skipped  atomic.Int64
+	restored     atomic.Int64
+	scratch      atomic.Int64
+	skipped      atomic.Int64
+	converged    atomic.Int64
+	convergedDyn atomic.Int64
 }
 
 // Interval returns the snapshot spacing in dynamic instructions.
@@ -90,6 +113,11 @@ type CheckpointStats struct {
 	// SkippedDyn is the total count of golden-prefix dynamic instructions
 	// the resumed trials did not have to re-execute.
 	SkippedDyn int64
+	// Converged counts trials that ended early at the convergence stop,
+	// their state equal to a later snapshot's; ConvergedDyn is the
+	// golden-suffix dynamic instructions they did not execute.
+	Converged    int64
+	ConvergedDyn int64
 }
 
 // Accumulate folds another sample into s, for aggregating usage across the
@@ -102,6 +130,8 @@ func (st *CheckpointStats) Accumulate(o CheckpointStats) {
 	st.Restored += o.Restored
 	st.Scratch += o.Scratch
 	st.SkippedDyn += o.SkippedDyn
+	st.Converged += o.Converged
+	st.ConvergedDyn += o.ConvergedDyn
 }
 
 // Stats returns the current usage counters.
@@ -110,11 +140,13 @@ func (c *Checkpoints) Stats() CheckpointStats {
 		return CheckpointStats{}
 	}
 	return CheckpointStats{
-		Snapshots:  len(c.snaps),
-		Interval:   c.interval,
-		Restored:   c.restored.Load(),
-		Scratch:    c.scratch.Load(),
-		SkippedDyn: c.skipped.Load(),
+		Snapshots:    len(c.snaps),
+		Interval:     c.interval,
+		Restored:     c.restored.Load(),
+		Scratch:      c.scratch.Load(),
+		SkippedDyn:   c.skipped.Load(),
+		Converged:    c.converged.Load(),
+		ConvergedDyn: c.convergedDyn.Load(),
 	}
 }
 
@@ -194,6 +226,43 @@ func (s *Snapshot) restoreInto(e *exec) {
 		copy(t, e.taintMem)
 		e.taintMem = t
 	}
+}
+
+// matches reports whether e, at a slot boundary of a trial whose fault has
+// fired, is in the snapshot's state in everything the rest of the run can
+// observe: the frames, the live register windows, memory below memTop, the
+// output and the detection flag. Block counters are not compared (after the
+// injection nothing reads them), nor is memory at or above memTop (an
+// alloca zeroes what it claims before anything can load it). The cheap
+// length checks go first, memory last.
+func (s *Snapshot) matches(e *exec) bool {
+	if e.memTop != s.memTop || e.slabTop != len(s.regs) || len(e.frames) != len(s.frames) ||
+		len(e.output) != len(s.output) || e.detected != s.detected {
+		return false
+	}
+	if !slices.Equal(e.frames, s.frames) || !slices.Equal(e.regSlab[:e.slabTop], s.regs) ||
+		!slices.Equal(e.output, s.output) {
+		return false
+	}
+	for i, pg := range s.pages {
+		lo := int64(i) * pageWords
+		n := min(pageWords, s.memTop-lo)
+		if !slices.Equal(e.mem[lo:lo+n], pg[:n]) {
+			return false
+		}
+	}
+	return true
+}
+
+// probeFor returns c when a trial on e may stop at c's snapshots once its
+// fault fires: the golden run returned normally, within the trial's budget
+// and under limits no wider than the trial's, so a trial that converges on
+// it would finish the same way. Otherwise it returns nil.
+func (c *Checkpoints) probeFor(e *exec) *Checkpoints {
+	if c == nil || c.end == nil || c.end.dyn > e.maxDyn || c.end.maxMem > e.maxMem || c.end.maxDep > e.maxDep {
+		return nil
+	}
+	return c
 }
 
 // ForPlan returns the latest snapshot whose state still precedes the plan's

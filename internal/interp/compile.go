@@ -284,6 +284,9 @@ type funcCompiler struct {
 }
 
 func compileFunc(p *Program, f *ir.Function) (*compiledFunc, error) {
+	if err := checkCountedLoops(f); err != nil {
+		return nil, err
+	}
 	cf := &compiledFunc{name: f.Name, nParams: len(f.Params), retTy: f.RetTy}
 	fc := &funcCompiler{p: p, cf: cf, slotOf: make(map[*ir.Instr]int32), constIdx: make(map[uint64]map[ir.Type]ref)}
 
@@ -334,6 +337,58 @@ func compileFunc(p *Program, f *ir.Function) (*compiledFunc, error) {
 		}
 	}
 	return cf, nil
+}
+
+// checkCountedLoops rejects a function with a CFG cycle whose blocks
+// produce no value. The dynamic-instruction budget counts only
+// value-producing instructions (phis included), so such a loop — branches,
+// stores and void calls alone — would run forever under any MaxDyn. The
+// check is conservative: a void call to a function that does count still
+// leaves its block uncounted.
+func checkCountedLoops(f *ir.Function) error {
+	counted := func(b *ir.Block) bool {
+		for _, in := range b.Instrs {
+			if in.Ty != ir.Void {
+				return true
+			}
+		}
+		return false
+	}
+	// Depth-first search over the uncounted blocks: reaching a block still
+	// on the stack closes a cycle.
+	const (
+		unseen = iota
+		onStack
+		done
+	)
+	state := make(map[*ir.Block]uint8, len(f.Blocks))
+	var visit func(b *ir.Block) *ir.Block
+	visit = func(b *ir.Block) *ir.Block {
+		state[b] = onStack
+		for _, s := range b.Succs() {
+			if counted(s) {
+				continue
+			}
+			switch state[s] {
+			case onStack:
+				return s
+			case unseen:
+				if c := visit(s); c != nil {
+					return c
+				}
+			}
+		}
+		state[b] = done
+		return nil
+	}
+	for _, b := range f.Blocks {
+		if state[b] == unseen && !counted(b) {
+			if c := visit(b); c != nil {
+				return fmt.Errorf("loop through block %s executes no value-producing instruction, so no dynamic-instruction budget can stop it", c.Name)
+			}
+		}
+	}
+	return nil
 }
 
 // operand resolves a value to a ref.

@@ -3,6 +3,7 @@ package interp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"repro/internal/fault"
@@ -271,6 +272,13 @@ type exec struct {
 	ckpt     *Checkpoints
 	nextCkpt int64
 
+	// Convergence stop of an Injector trial (nil probe: unarmed): once the
+	// fault has fired, trip compares the state with probe.snaps[probeIdx]
+	// at its dyn clock, and converged records that the trial ended there.
+	probe     *Checkpoints
+	probeIdx  int
+	converged bool
+
 	// Taint tracking state (nil unless Options.TrackPropagation).
 	taintMem     []bool
 	taintStatic  []bool
@@ -358,6 +366,10 @@ func runFrom(p *Program, s *Snapshot, args []uint64, opts Options) *Result {
 		return &r
 	}
 	ret, ok := e.runFast()
+	if ok && e.ckpt != nil {
+		e.ckpt.end = &runEnd{dyn: e.dyn, ret: ret, output: slices.Clone(e.output), detected: e.detected,
+			maxMem: e.maxMem, maxDep: e.maxDep}
+	}
 	r := e.outcome(ret)
 	if opts.Profile {
 		if !ok {

@@ -3,6 +3,7 @@ package interp
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/fault"
 	"repro/internal/ir"
@@ -38,8 +39,10 @@ import (
 // Stops. Every counted instruction compares its dyn index with e.limit,
 // min(maxDyn, next stop), the comparison a budget check needs anyway; a
 // profiling run has no stop, so its limit is the budget. Passing the limit
-// enters the cold trip, which exhausts the budget, fires the armed fault or
-// records the due snapshot, then re-arms the limit.
+// enters the cold trip, which exhausts the budget, fires the armed fault,
+// records the due snapshot or, after an Injector trial's fault, compares
+// the state with the next golden snapshot (the convergence stop,
+// checkpoint.go), then re-arms the limit.
 
 // Profiler runs profiled executions of one Program with zero steady-state
 // allocation: the machine state (memory, register slabs, counters, output
@@ -262,6 +265,7 @@ func (e *exec) reset(maxDyn int64) {
 	e.budget = false
 	e.detected = false
 	e.injected, e.injID, e.injBit, e.occSeen = false, 0, 0, 0
+	e.converged = false
 	clear(e.blockCounts)
 	e.overlay = e.overlay[:0]
 }
@@ -332,9 +336,9 @@ func (e *exec) tripRet(dyn int64, cin *inst, rv uint64) (uint64, bool) {
 // the slot's already-completed sub-instructions — done (a fused pair's
 // first half or comparison, else -1) and doneMoves (the phi moves applied
 // so far on this edge). trip syncs the top frame's pc, then exhausts the
-// budget (false: abort, with e.dyn synced), fires the armed fault or
-// records the due snapshot, re-arms e.limit and returns the value to
-// commit.
+// budget (false: abort, with e.dyn synced), fires the armed fault, records
+// the due snapshot or probes for convergence (false: the trial converged,
+// see converge), re-arms e.limit and returns the value to commit.
 func (e *exec) trip(pc int32, dyn int64, id int32, ty ir.Type, v uint64, done int32, doneMoves []move) (uint64, bool) {
 	e.frames[len(e.frames)-1].pc = pc
 	if dyn > e.maxDyn {
@@ -382,12 +386,49 @@ func (e *exec) trip(pc int32, dyn int64, id int32, ty ir.Type, v uint64, done in
 		if pl.Mode == fault.ModeStatic && int(id) == pl.StaticID && occ == pl.Occurrence ||
 			pl.Mode == fault.ModeDynamic && dyn == pl.TargetDyn {
 			v = e.applyFault(id, ty, v)
+			if c := e.probe; c != nil {
+				// The first snapshot whose state includes this instruction.
+				e.probeIdx = sort.Search(len(c.snaps), func(i int) bool { return c.snaps[i].dyn >= dyn })
+				stop = e.probeStop()
+			}
 		} else {
 			stop = e.planStop(dyn, occ)
 		}
+	case e.probe != nil:
+		// The convergence stop, at dyn == snapshot dyn + 1. A match
+		// mid-slot would not be a resumable state, so there the stop
+		// passes to the next snapshot, as it does on a mismatch.
+		if done < 0 && len(doneMoves) == 0 && e.probe.snaps[e.probeIdx].matches(e) {
+			e.converge(dyn)
+			return v, false
+		}
+		e.probeIdx++
+		stop = e.probeStop()
 	}
 	e.limit = min(e.maxDyn, stop)
 	return v, true
+}
+
+// probeStop returns the stop of the convergence probe's next snapshot, the
+// dyn clock after which the trial can next compare its state with it.
+func (e *exec) probeStop() int64 {
+	if e.probeIdx < len(e.probe.snaps) {
+		return e.probe.snaps[e.probeIdx].dyn
+	}
+	return math.MaxInt64
+}
+
+// converge ends a trial whose state matched a golden snapshot just before
+// dynamic instruction dyn: it finishes as the golden run did, so it takes
+// the golden's end state (the Injector supplies the return value).
+func (e *exec) converge(dyn int64) {
+	c, end := e.probe, e.probe.end
+	c.converged.Add(1)
+	c.convergedDyn.Add(end.dyn - (dyn - 1))
+	e.dyn = end.dyn
+	e.output = append(e.output[:0], end.output...)
+	e.detected = end.detected
+	e.converged = true
 }
 
 // fixupAbort repairs the block counters after an aborted fast-path run: for

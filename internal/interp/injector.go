@@ -9,7 +9,9 @@ import (
 // machine, the trial-side counterpart of Profiler. Each trial rewinds the
 // machine to its start state — a Snapshot restore when one precedes the
 // injection point, otherwise the entry frame — and runs it on runFast with
-// the fault armed as a stop (see trip). The result (outcome fields,
+// the fault armed as a stop (see trip); once the fault fires, the trial
+// stops early if its state reconverges on a later golden snapshot, taking
+// the golden run's end state. The result (outcome fields,
 // DynCount, output, injected ID/bit, detection flag) is bit-identical to a
 // fresh-machine Run or RunWithCheckpoints of the same plan, while memory,
 // register slabs and the output buffer are allocated once per Injector
@@ -47,9 +49,13 @@ func (in *Injector) Run(args []uint64, c *Checkpoints, plan *fault.Plan, rng *xr
 	e.reset(e.maxDyn)
 	in.plan = *plan
 	e.plan, e.rng = &in.plan, rng
+	e.probe = c.probeFor(e)
 	e.start(s, args)
 	ret, _ := e.runFast()
+	if e.converged {
+		ret = c.end.ret
+	}
 	in.res = e.outcome(ret)
-	e.plan, e.rng = nil, nil
+	e.plan, e.rng, e.probe = nil, nil, nil
 	return &in.res
 }

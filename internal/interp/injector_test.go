@@ -430,3 +430,92 @@ func TestInjectorRejectsEachCampaignOption(t *testing.T) {
 		})
 	}
 }
+
+// buildMaskLoop: main(n) sums t&1 over t = 3i for i < n and prints the sum.
+// A flip of any bit but bit 0 of t is masked by the and, and t's register
+// is overwritten on the next iteration, so such a trial reconverges on the
+// golden state.
+func buildMaskLoop(t testing.TB) (*Program, int) {
+	m := ir.NewModule("maskloop")
+	f := m.NewFunc("main", ir.I64, &ir.Param{Name: "n", Ty: ir.I64})
+	b := ir.NewBuilder(f)
+	entry := b.Cur
+	loop, body, exit := b.Block("loop"), b.Block("body"), b.Block("exit")
+	b.Br(loop)
+	b.SetBlock(loop)
+	i := b.Phi(ir.I64)
+	s := b.Phi(ir.I64)
+	b.CondBr(b.ICmp(ir.OpICmpSLT, i, b.Param(0)), body, exit)
+	b.SetBlock(body)
+	tv := b.Mul(i, ir.I64c(3))
+	s2 := b.Add(s, b.And(tv, ir.I64c(1)))
+	i2 := b.Add(i, ir.I64c(1))
+	b.Br(loop)
+	ir.AddIncoming(i, ir.I64c(0), entry)
+	ir.AddIncoming(i, i2, body)
+	ir.AddIncoming(s, ir.I64c(0), entry)
+	ir.AddIncoming(s, s2, body)
+	b.SetBlock(exit)
+	b.Call(ir.Void, "print_i64", s)
+	b.Ret(s)
+	return mustCompile(t, m), tv.ID
+}
+
+// TestInjectorConvergenceStop: masked faults on every occurrence of
+// maskloop's t end early at a later snapshot, each trial still equal to
+// both oracles and to the golden's DynCount, return value and output. The
+// stop stays unarmed when the golden did not return normally or when the
+// trial's dynamic, memory or depth limit is tighter than the golden's: a
+// converged trial could then finish differently from the golden run.
+func TestInjectorConvergenceStop(t *testing.T) {
+	p, tid := buildMaskLoop(t)
+	args := []uint64{60}
+	g, ic := newInjectorCase(t, p, args, 25)
+	plans := make([]fault.Plan, g.InstrCounts[tid])
+	for k := range plans {
+		plans[k] = fault.Plan{Mode: fault.ModeStatic, StaticID: tid, Occurrence: int64(k + 1), Bit: 5}
+	}
+
+	inj := NewInjector(p, Options{MaxDyn: ic.budget})
+	for _, plan := range plans {
+		before := g.Checkpoints.Stats()
+		got := ic.check(t, plan.String(), inj, g.Checkpoints, plan, 0)
+		after := g.Checkpoints.Stats()
+		if after.Converged == before.Converged {
+			continue
+		}
+		if got.DynCount != g.DynCount || got.Ret != g.Ret || !OutputEqual(got.Output, g.Output) {
+			t.Fatalf("%v: converged trial %+v, golden %+v", plan, got, g)
+		}
+		if skipped := after.ConvergedDyn - before.ConvergedDyn; skipped <= 0 || skipped >= g.DynCount {
+			t.Fatalf("%v: converged trial skipped %d of %d dyn", plan, skipped, g.DynCount)
+		}
+	}
+	st := g.Checkpoints.Stats()
+	if st.Converged < int64(len(plans))/2 {
+		t.Fatalf("%d of %d masked trials converged", st.Converged, len(plans))
+	}
+
+	cut := Run(p, args, Options{CheckpointInterval: 25, MaxDyn: g.DynCount - 1})
+	if !cut.BudgetExceeded || len(cut.Checkpoints.snaps) == 0 {
+		t.Fatalf("budget-cut golden: %+v", cut)
+	}
+	for _, tc := range []struct {
+		name string
+		opts Options
+		c    *Checkpoints
+	}{
+		{"cut-golden", Options{MaxDyn: ic.budget}, cut.Checkpoints},
+		{"tight-dyn", Options{MaxDyn: g.DynCount - 1}, g.Checkpoints},
+		{"tight-mem", Options{MaxDyn: ic.budget, MaxMemWords: defaultMaxMemWords - 1}, g.Checkpoints},
+		{"tight-depth", Options{MaxDyn: ic.budget, MaxDepth: defaultMaxDepth - 1}, g.Checkpoints},
+	} {
+		inj := NewInjector(p, tc.opts)
+		for _, plan := range plans {
+			inj.Run(args, tc.c, &plan, nil)
+		}
+		if got := g.Checkpoints.Stats().Converged + cut.Checkpoints.Stats().Converged; got != st.Converged {
+			t.Fatalf("%s: %d trials converged with the stop unarmed", tc.name, got-st.Converged)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -631,5 +632,35 @@ func TestCoverageWithoutProfile(t *testing.T) {
 	r := Run(p, []uint64{1, 2}, Options{})
 	if r.Coverage(p.NumInstrs()) != 0 {
 		t.Fatal("coverage without profiling should be 0")
+	}
+}
+
+// TestCompileRejectsUncountedLoops: a loop that produces no value — only
+// branches, stores and void calls — never advances the dynamic-instruction
+// clock, so no budget could end it; Compile must reject it with an error
+// (it hung `peppax -file` before). A loop that counts compiles.
+func TestCompileRejectsUncountedLoops(t *testing.T) {
+	for name, tc := range map[string]struct {
+		body   string
+		reject bool
+	}{
+		"self-branch": {"  br head\nhead:\n  br head\n", true},
+		"store-and-call": {"  %p : ptr = alloca(i64 1)\n  br a\na:\n  store(i64 %n, ptr %p)\n  br b\nb:\n" +
+			"  call @print_i64(i64 %n)\n  condbr(i1 %c) a, done\ndone:\n  ret()\n", true},
+		"counted": {"  br head\nhead:\n  %i : i64 = phi([i64 0, entry], [i64 %j, head])\n  %j : i64 = add(i64 %i, i64 1)\n" +
+			"  %d : i1 = icmp.slt(i64 %j, i64 %n)\n  condbr(i1 %d) head, done\ndone:\n  ret()\n", false},
+	} {
+		src := "module m\nentry main\n\nfunc @main(i64 %n, i1 %c) void {\nentry:\n" + tc.body + "}\n"
+		m, err := ir.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		_, err = Compile(m)
+		if tc.reject && (err == nil || !strings.Contains(err.Error(), "no dynamic-instruction budget")) {
+			t.Fatalf("%s: Compile error %v, want the uncounted-loop rejection", name, err)
+		}
+		if !tc.reject && err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }

@@ -15,7 +15,8 @@ import (
 // campaign comparison that BENCH_fi.json reports. Every benchmark reports
 // dyn/op (dynamic instructions interpreted per iteration) so ns/dyn is
 // recoverable; campaign benchmarks also report skipped/op, the golden-prefix
-// instructions the snapshot schedule saved.
+// instructions the snapshot schedule saved, and converged/op, the trials
+// that ended early at the convergence stop.
 
 const overallTrials = 1000
 
@@ -136,4 +137,5 @@ func benchmarkOverall(b *testing.B, bench *prog.Benchmark, g *campaign.Golden) {
 	after := g.CheckpointStats()
 	b.ReportMetric(float64(c.DynInstrs), "dyn/op")
 	b.ReportMetric(float64(after.SkippedDyn-before.SkippedDyn)/float64(b.N), "skipped/op")
+	b.ReportMetric(float64(after.Converged-before.Converged)/float64(b.N), "converged/op")
 }

@@ -400,6 +400,20 @@ func TestVerifyCatchesRetTypeMismatch(t *testing.T) {
 	}
 }
 
+// TestVerifyCatchesTypedTerminator: the parser accepts `%v : i64 = br
+// head`, and a typed terminator would get a static ID although it produces
+// no value, so Verify must reject it.
+func TestVerifyCatchesTypedTerminator(t *testing.T) {
+	src := "module m\nentry main\n\nfunc @main() void {\nentry:\n  br head\nhead:\n  %v : i64 = br head\n}\n"
+	m, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(m); err == nil || !strings.Contains(err.Error(), "produces no value") {
+		t.Fatalf("want typed-terminator error, got %v", err)
+	}
+}
+
 func TestVerifyCatchesCondBrNonBool(t *testing.T) {
 	m := NewModule("bad")
 	f := m.NewFunc("main", Void)

@@ -79,6 +79,9 @@ func verifyInstr(m *Module, f *Function, b *Block, in *Instr, defined map[*Instr
 			}
 		}
 	}
+	if in.Op.IsTerminator() && in.Ty != Void {
+		return fmt.Errorf("%v produces no value, but has type %v", in.Op, in.Ty)
+	}
 	wantArgs := func(n int) error {
 		if len(in.Args) != n {
 			return fmt.Errorf("want %d operands, have %d", n, len(in.Args))

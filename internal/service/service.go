@@ -170,14 +170,20 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) runJobRecovered(ctx context.Context, spec *JobSpec, meter *tokenMeter, ew *eventWriter, rec *telemetry.Recorder) (res *JobResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			if wp, ok := p.(*parallel.WorkerPanic); ok {
-				p = wp.Value
-			}
 			s.rec.Count("service.jobs.panicked", 1)
-			res, err = nil, fmt.Errorf("job panicked: %v", p)
+			res, err = nil, fmt.Errorf("job panicked: %v", panicValue(p))
 		}
 	}()
 	return s.runJob(ctx, spec, meter, ew, rec)
+}
+
+// panicValue unwraps a recovered panic that parallel.ForEachWorker
+// re-raised from a campaign worker to the worker's own panic value.
+func panicValue(p any) any {
+	if wp, ok := p.(*parallel.WorkerPanic); ok {
+		return wp.Value
+	}
+	return p
 }
 
 // Shutdown stops admitting jobs and waits for inflight + queued jobs to

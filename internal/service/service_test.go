@@ -473,21 +473,7 @@ func waitFor(t *testing.T, cond func() bool) {
 // panic is counted, and the next job runs normally.
 func TestServiceJobPanicIsContained(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	be := s.cache.bench("pathfinder")
-	b := be.b
-	g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(b.RefInput()), b.MaxDyn, campaign.CheckpointAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nb := prog.Build("needle")
-	ng, err := campaign.NewGoldenCheckpointed(nb.Prog, nb.Encode(nb.RefInput()), nb.MaxDyn, campaign.CheckpointAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Checkpoints = ng.Checkpoints
-	s.cache.goldens.Get(goldenKey(be.hash, b.RefInput(), campaign.CheckpointAuto, ""), func() (*goldenEntry, error) {
-		return &goldenEntry{g: g}, nil
-	})
+	nb, ng := plantMismatchedGolden(t, s)
 
 	for _, shards := range []int{1, 2} {
 		body, err := json.Marshal(&JobSpec{Kind: KindCampaign, Bench: "pathfinder", Trials: 40, Seed: 3, Workers: 4, Shards: shards})
@@ -523,5 +509,72 @@ func TestServiceJobPanicIsContained(t *testing.T) {
 	want := campaign.OverallParallel(nb.Prog, ng, 40, campaign.ParallelOptions{Workers: 1, Seed: 3})
 	if res := submit(t, ts, &JobSpec{Kind: KindCampaign, Bench: "needle", Trials: 40, Seed: 3, Workers: 4}); res.Counts != want {
 		t.Fatalf("job after the panic: %+v, want %+v", res.Counts, want)
+	}
+}
+
+// plantMismatchedGolden puts a broken entry into s's golden cache — a
+// pathfinder golden carrying needle's snapshots, at the reference input and
+// the auto interval — so any campaign on it panics in the interpreter's
+// program-identity check. It returns needle's benchmark and healthy golden.
+func plantMismatchedGolden(t *testing.T, s *Server) (*prog.Benchmark, *campaign.Golden) {
+	t.Helper()
+	be := s.cache.bench("pathfinder")
+	b := be.b
+	g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(b.RefInput()), b.MaxDyn, campaign.CheckpointAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb := prog.Build("needle")
+	ng, err := campaign.NewGoldenCheckpointed(nb.Prog, nb.Encode(nb.RefInput()), nb.MaxDyn, campaign.CheckpointAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Checkpoints = ng.Checkpoints
+	s.cache.goldens.Get(goldenKey(be.hash, b.RefInput(), campaign.CheckpointAuto, ""), func() (*goldenEntry, error) {
+		return &goldenEntry{g: g}, nil
+	})
+	return nb, ng
+}
+
+// TestServiceShardPanicIsContained: a panic while a peer runs a /shard
+// request — the planted golden of plantMismatchedGolden — ends the request
+// with a 500 that names the panic, is counted, and leaves the worker
+// serving the next shard.
+func TestServiceShardPanicIsContained(t *testing.T) {
+	s, ts := newTestServer(t, Config{WorkerOnly: true})
+	nb, ng := plantMismatchedGolden(t, s)
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/shard", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(msg)
+	}
+
+	code, msg := post(`{"bench":"pathfinder","seed":3,"lo":0,"hi":20,"workers":2}`)
+	if code != http.StatusInternalServerError || !strings.Contains(msg, "shard panicked") ||
+		!strings.Contains(msg, "different program") {
+		t.Fatalf("planted shard: %d %q, want a 500 naming the panic", code, msg)
+	}
+	if got := s.rec.Counter("service.shard.panicked"); got != 1 {
+		t.Fatalf("service.shard.panicked = %d, want 1", got)
+	}
+
+	code, msg = post(`{"bench":"needle","seed":3,"lo":0,"hi":20,"workers":2}`)
+	var sr ShardResponse
+	if code != http.StatusOK {
+		t.Fatalf("shard after the panic: %d %q", code, msg)
+	}
+	if err := json.Unmarshal([]byte(msg), &sr); err != nil {
+		t.Fatal(err)
+	}
+	if want := campaign.OverallShard(nb.Prog, ng, 0, 20, campaign.ParallelOptions{Workers: 1, Seed: 3}); sr.Counts != want {
+		t.Fatalf("shard after the panic: %+v, want %+v", sr.Counts, want)
 	}
 }

@@ -164,8 +164,16 @@ func (s *Server) dispatchShard(ctx context.Context, peer string, spec *JobSpec, 
 // handleShard executes one shard request against the shared work cache and
 // returns its tally. Workers serve this endpoint whether or not they also
 // accept jobs, so a pool of symmetric peppaxd processes can shard to each
-// other.
+// other. A panic while the shard runs is contained like a job's: the
+// request gets a 500 naming it, and the coordinator falls back to running
+// the shard itself.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.rec.Count("service.shard.panicked", 1)
+			http.Error(w, fmt.Sprintf("shard panicked: %v", panicValue(p)), http.StatusInternalServerError)
+		}
+	}()
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
